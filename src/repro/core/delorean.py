@@ -17,10 +17,13 @@ speedup over CoolSim and the 126 MIPS headline.
 
 The Scout/Explorer work is delegated to
 :class:`~repro.core.warmup.WarmupPipeline`: with an artifact ``store``
-attached, the warm-up products (which are microarchitecture-independent)
-are persisted on first computation and replayed bit-identically for any
-later run of the same workload/plan/seed at a different LLC
-configuration — only the Analyst re-executes.
+attached, a batch run's warm-up products (which are
+microarchitecture-independent) are persisted on first computation and
+replayed bit-identically for any later run of the same
+workload/plan/seed at a different LLC configuration — only the Analyst
+re-executes.  :class:`DeLoreanRun` is the one execution state: a batch
+run refines it over the whole plan, a live feed one watermark at a
+time.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ from repro.core.analyst import AnalystPass
 from repro.core.explorer import DEFAULT_EXPLORERS
 from repro.core.pipeline import pipeline_schedule
 from repro.core.vicinity import DEFAULT_DENSITY
-from repro.core.warmup import IncrementalWarmup, WarmupPipeline
+from repro.core.warmup import WarmupPipeline
 from repro.cpu.prefetch import StridePrefetcher
 from repro.sampling.base import StrategyBase
 from repro.sampling.results import StrategyResult
@@ -55,67 +58,84 @@ class DeLorean(StrategyBase):
             store=None, context=None):
         context = self.context_for(workload, index=index, seed=seed,
                                    store=store, context=context)
-        base_meter = CostMeter(scale=plan.scale)
-
-        warmup = WarmupPipeline(
-            "delorean-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost, base_meter)
-        warm_regions = warmup.run_all()
-
-        analyst_machine = context.machine(base_meter.fork())
-        analyst = self._analyst(context, hierarchy_config, analyst_machine)
-
-        analyst_times = []
-        regions = []
-        for spec, warm in zip(plan.regions(), warm_regions):
-            mark = analyst_machine.meter.ledger.total_seconds
-            regions.append(analyst.run_region(spec, warm.predictor()))
-            analyst_times.append(
-                analyst_machine.meter.ledger.total_seconds - mark)
-
-        return self._assemble_result(
-            workload.name, plan, warmup, warm_regions, regions,
-            analyst_times, analyst_machine.meter.ledger, base_meter)
+        run = DeLoreanRun(self, context, plan, hierarchy_config,
+                          final_plan=plan)
+        run.refine_many(plan.regions())
+        return run.result(plan)
 
     def begin(self, context, plan, hierarchy_config):
         """Start a refinable run (``refine`` per region, ``result`` at
-        any watermark).
+        any watermark); :meth:`run` is the same run over the whole plan.
 
-        Unlike :meth:`run` this never consults the warm-up bundle store
-        — a live feed is by definition ahead of any recorded prefix —
-        but every value it produces is pinned to the batch path: the
-        warm-up passes are the batch pipeline's region loop
-        (:class:`~repro.core.warmup.IncrementalWarmup`) and the result
-        assembly is shared code.
+        A live feed is by definition ahead of any recorded prefix, so
+        the run gets no final plan and never consults the warm-up
+        bundle store.
         """
         return DeLoreanRun(self, context, plan, hierarchy_config)
 
-    def _analyst(self, context, hierarchy_config, machine):
-        return AnalystPass(
-            machine, hierarchy_config,
-            processor_config=self.processor_config,
+
+class DeLoreanRun:
+    """DeLorean's execution state: the warm-up passes
+    (:class:`~repro.core.warmup.WarmupPipeline`) and the Analyst
+    machine, carried across regions.
+
+    :meth:`refine_many` advances all five pipeline stages over the next
+    regions; :meth:`result` assembles the :class:`StrategyResult` over
+    the regions refined so far.  ``final_plan`` — a batch run's whole
+    plan — addresses the warm-up bundle in the store.
+    """
+
+    def __init__(self, strategy, context, plan, hierarchy_config,
+                 final_plan=None):
+        self.strategy = strategy
+        self.context = context
+        self.base_meter = CostMeter(scale=plan.scale)
+        self.warmup = WarmupPipeline(
+            "delorean-vicinity", context, strategy.explorer_specs,
+            strategy.vicinity_density, strategy.vicinity_boost,
+            self.base_meter, plan.footprint_scale, plan=final_plan)
+        self.analyst_machine = context.machine(self.base_meter.fork())
+        self.analyst = AnalystPass(
+            self.analyst_machine, hierarchy_config,
+            processor_config=strategy.processor_config,
             prefetcher_factory=((lambda: StridePrefetcher(n_streams=8))
-                                if self.prefetcher_enabled else None),
-            mshr_window=self.mshr_window,
+                                if strategy.prefetcher_enabled else None),
+            mshr_window=strategy.mshr_window,
             seed=context.seed,
             context=context,
         )
+        self.analyst_times = []
+        self.regions = []
 
-    def _assemble_result(self, workload_name, plan, warmup, warm_regions,
-                         regions, analyst_times, analyst_ledger,
-                         base_meter):
-        """Aggregate warm-up records + analyst output into the result.
+    def refine(self, spec):
+        """Scout, explore and analyze one region."""
+        return self.refine_many([spec])[0]
 
-        ``warmup`` is anything exposing the pipeline accessors
-        (``stage_times``/``pass_ledgers``/``vicinity_*``): the batch
-        :class:`WarmupPipeline` or an
-        :class:`~repro.core.warmup.IncrementalWarmup` mid-feed.  Shared
-        by both paths so the live watermark results cannot drift from
-        the batch assembly.
-        """
+    def refine_many(self, specs):
+        """Scout, explore and analyze the next regions."""
+        specs = list(specs)
+        start = len(self.regions)
+        for spec, warm in zip(specs, self.warmup.refine_many(specs)):
+            mark = self.analyst_machine.meter.ledger.total_seconds
+            self.regions.append(
+                self.analyst.run_region(spec, warm.predictor()))
+            self.analyst_times.append(
+                self.analyst_machine.meter.ledger.total_seconds - mark)
+        return self.regions[start:]
+
+    def bundle(self):
+        """The warm-up bundle (watermark-publishable)."""
+        return self.warmup.bundle()
+
+    def result(self, plan):
+        """The :class:`StrategyResult` over the regions refined so far:
+        warm-up records + Analyst output, aggregated."""
+        strategy = self.strategy
+        warm_regions = self.warmup.bundle().regions
+        analyst_ledger = self.analyst_machine.meter.ledger
         key_counts = []
         engaged = []
-        resolved_by_totals = np.zeros(len(self.explorer_specs),
+        resolved_by_totals = np.zeros(len(strategy.explorer_specs),
                                       dtype=np.int64)
         warming_resolved_total = 0
         cold_total = 0
@@ -132,18 +152,18 @@ class DeLorean(StrategyBase):
             stops_true += warm.true_stops
             stops_false += warm.false_stops
 
-        stage_times = warmup.stage_times() + [analyst_times]
+        stage_times = self.warmup.stage_times() + [self.analyst_times]
         _, wall_seconds = pipeline_schedule(stage_times)
 
-        merged = CostMeter(params=base_meter.params, scale=plan.scale,
+        merged = CostMeter(params=self.base_meter.params, scale=plan.scale,
                            ledger=TimeLedger())
-        warm_ledgers = warmup.pass_ledgers()
+        warm_ledgers = self.warmup.pass_ledgers()
         for ledger in warm_ledgers:
             merged.ledger.merge(ledger)
         merged.ledger.merge(analyst_ledger)
 
-        vicinity_paper = warmup.vicinity_paper
-        vicinity_model = warmup.vicinity_model
+        vicinity_paper = self.warmup.vicinity_paper
+        vicinity_model = self.warmup.vicinity_model
         analyst_detailed = analyst_ledger.seconds_by_category.get(
             "detailed", 0.0)
         warming_seconds = (
@@ -151,9 +171,9 @@ class DeLorean(StrategyBase):
             + sum(ledger.total_seconds for ledger in warm_ledgers[1:]))
 
         return StrategyResult(
-            strategy=self.name,
-            workload=workload_name,
-            regions=regions,
+            strategy=strategy.name,
+            workload=self.context.workload.name,
+            regions=list(self.regions),
             meter=merged,
             paper_equivalent_instructions=plan.paper_equivalent_instructions,
             wall_seconds=wall_seconds,
@@ -179,50 +199,3 @@ class DeLorean(StrategyBase):
                      if analyst_detailed else float("inf")),
             },
         )
-
-
-class DeLoreanRun:
-    """Refinable DeLorean execution state for live feeds.
-
-    Carries the warm-up passes (:class:`IncrementalWarmup`) and the
-    Analyst machine across regions; :meth:`refine` advances all five
-    pipeline stages over one region, :meth:`result` assembles the
-    watermark's :class:`StrategyResult` through the same code as the
-    batch path.
-    """
-
-    def __init__(self, strategy, context, plan, hierarchy_config):
-        self.strategy = strategy
-        self.context = context
-        self.base_meter = CostMeter(scale=plan.scale)
-        self.warmup = IncrementalWarmup(
-            "delorean-vicinity", context, strategy.explorer_specs,
-            strategy.vicinity_density, strategy.vicinity_boost,
-            self.base_meter, plan.footprint_scale)
-        self.analyst_machine = context.machine(self.base_meter.fork())
-        self.analyst = strategy._analyst(context, hierarchy_config,
-                                         self.analyst_machine)
-        self.analyst_times = []
-        self.regions = []
-
-    def refine(self, spec):
-        """Scout, explore and analyze one region."""
-        warm = self.warmup.refine(spec)
-        mark = self.analyst_machine.meter.ledger.total_seconds
-        self.regions.append(
-            self.analyst.run_region(spec, warm.predictor()))
-        self.analyst_times.append(
-            self.analyst_machine.meter.ledger.total_seconds - mark)
-        return self.regions[-1]
-
-    def bundle(self):
-        """The warm-up bundle snapshot (watermark-publishable)."""
-        return self.warmup.bundle()
-
-    def result(self, plan):
-        """The :class:`StrategyResult` over the regions refined so far."""
-        return self.strategy._assemble_result(
-            self.context.workload.name, plan, self.warmup,
-            list(self.warmup.regions), list(self.regions),
-            list(self.analyst_times), self.analyst_machine.meter.ledger,
-            self.base_meter)

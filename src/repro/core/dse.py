@@ -85,8 +85,9 @@ class DesignSpaceExploration(StrategyBase):
         base_meter = CostMeter(scale=plan.scale)
 
         warmup = WarmupPipeline(
-            "dse-vicinity", context, plan, self.explorer_specs,
-            self.vicinity_density, self.vicinity_boost, base_meter)
+            "dse-vicinity", context, self.explorer_specs,
+            self.vicinity_density, self.vicinity_boost, base_meter,
+            plan.footprint_scale, plan=plan)
         warm_regions = warmup.run_all()
 
         analyst_machines = [

@@ -9,17 +9,20 @@ vicinity distribution.  Everything those passes produce is
 enters at the Analyst — so the warm-up products for a workload/plan/seed
 are reusable across every LLC configuration of a sweep.
 
-:class:`WarmupPipeline` makes that reuse concrete.  In **live** mode it
-runs the actual passes and records, per region, the key reuse distances,
-the vicinity histogram state, the per-pass stage times and the summary
-statistics; at the end it publishes the whole
-:class:`WarmupBundle` (including each pass's cost-ledger breakdown) to
-the artifact store.  In **replay** mode — a store hit on the bundle's
-fingerprint, which deliberately excludes the hierarchy — it never builds
-a machine at all: regions are served from the bundle and the consumer's
-results are bit-identical to a live run's, because every float the live
-run would have produced (stage times, ledger categories, sampler
-totals) was recorded rather than remodeled.
+:class:`WarmupPipeline` is the one warm-up loop, for batch runs and
+live feeds alike: :meth:`~WarmupPipeline.refine_many` runs the actual
+passes over the next regions and records, per region, the key reuse
+distances, the vicinity histogram state, the per-pass stage times and
+the summary statistics.  A batch run knows its final plan, which
+addresses a :class:`WarmupBundle` in the artifact store: on a miss the
+pipeline publishes the whole bundle (including each pass's cost-ledger
+breakdown) once it covers the plan; on a hit — the fingerprint
+deliberately excludes the hierarchy — it never builds a machine at all.
+Regions are then served from the bundle and the consumer's results are
+bit-identical to a computed run's, because every float the passes
+would have produced (stage times, ledger categories, sampler totals)
+was recorded rather than remodeled.  A live feed has no final plan, so
+it has no bundle address and never consults the store.
 """
 
 from dataclasses import dataclass, field
@@ -104,117 +107,131 @@ class WarmupBundle:
 
 
 class WarmupPipeline:
-    """Run — or replay — the Scout/Explorer warm-up for a whole plan.
+    """Run — or replay — the Scout/Explorer warm-up, region by region.
 
     The pipeline executes on an
     :class:`~repro.core.context.ExecutionContext`: the context supplies
     the trace (possibly memory-mapped), the (possibly spilled) index,
     the artifact store and the seed, so one context threads identically
     through DeLorean, DSE and the warm-up machinery.
+
+    ``plan`` is the final plan of a batch run; it addresses the bundle
+    in the store, so the lookup happens here and sets :attr:`replayed`.
+    A live feed passes none: its plan grows one region per watermark.
     """
 
-    def __init__(self, rng_label, context, plan, explorer_specs,
-                 vicinity_density, vicinity_boost, base_meter):
-        self.rng_label = rng_label
-        self.context = context
-        self.workload = context.workload
+    def __init__(self, rng_label, context, explorer_specs, vicinity_density,
+                 vicinity_boost, base_meter, footprint_scale, plan=None):
         self.plan = plan
+        self.store = context.store if plan is not None else None
         self.explorer_specs = tuple(explorer_specs)
-        self.vicinity_density = float(vicinity_density)
-        self.vicinity_boost = float(vicinity_boost)
-        self.base_meter = base_meter
-        self.seed = context.seed
-        self.store = context.store
         self.n_passes = 1 + len(self.explorer_specs)
-        # The address excludes the cache hierarchy on purpose: warm-up
-        # products are microarchitecture-independent, so every LLC
-        # configuration of a sweep shares one bundle.
-        self.key = {
-            "artifact": "warmup-bundle",
-            "pipeline": rng_label,
-            "plan": plan,
-            "explorers": list(self.explorer_specs),
-            "vicinity_density": self.vicinity_density,
-            "vicinity_boost": self.vicinity_boost,
-            "seed": self.seed,
-        }
-        # Imported traces are addressed purely by content — the registry
-        # name is a label, so a rename replays the same bundle.
-        # Synthetic keys keep their historical name/seed identity.
-        trace_fp = getattr(self.workload, "trace_fingerprint", None)
-        if trace_fp is not None:
-            self.key["trace_fingerprint"] = trace_fp
-        else:
-            self.key["workload"] = self.workload.name
-            self.key["workload_seed"] = self.workload.seed
-        self.bundle = (self.store.load(self.key, label="warmup")
-                       if self.store is not None else None)
-        self.replayed = self.bundle is not None
+        self.regions = []
+        self._recorded = None
+        if self.store is not None:
+            # The address excludes the cache hierarchy on purpose:
+            # warm-up products are microarchitecture-independent, so
+            # every LLC configuration of a sweep shares one bundle.
+            self.key = {
+                "artifact": "warmup-bundle",
+                "pipeline": rng_label,
+                "plan": plan,
+                "explorers": list(self.explorer_specs),
+                "vicinity_density": float(vicinity_density),
+                "vicinity_boost": float(vicinity_boost),
+                "seed": context.seed,
+            }
+            # Imported traces are addressed purely by content — the
+            # registry name is a label, so a rename replays the same
+            # bundle.  Synthetic keys keep their historical name/seed
+            # identity.
+            workload = context.workload
+            trace_fp = getattr(workload, "trace_fingerprint", None)
+            if trace_fp is not None:
+                self.key["trace_fingerprint"] = trace_fp
+            else:
+                self.key["workload"] = workload.name
+                self.key["workload_seed"] = workload.seed
+            self._recorded = self.store.load(self.key, label="warmup")
+        self.replayed = self._recorded is not None
+        if self.replayed:
+            return
+
+        self.scout_machine = context.machine(base_meter.fork())
+        self.explorer_machines = [context.machine(base_meter.fork())
+                                  for _ in self.explorer_specs]
+        self.machines = [self.scout_machine] + self.explorer_machines
+        rng = context.rng(rng_label)
+        self.samplers = [
+            VicinitySampler(machine, density=float(vicinity_density),
+                            density_boost=float(vicinity_boost), rng=rng,
+                            footprint_scale=footprint_scale)
+            for machine in self.explorer_machines]
+        self.scout = ScoutPass(self.scout_machine)
+        self.chain = ExplorerChain(self.explorer_machines,
+                                   self.explorer_specs,
+                                   vicinity_samplers=self.samplers,
+                                   footprint_scale=footprint_scale)
 
     # -- execution -----------------------------------------------------------
 
     def run_all(self):
-        """The per-region warm-up products, live or replayed."""
-        if self.bundle is None:
-            self._run_live()
-        return self.bundle.regions
+        """The batch entry point: every region of the plan, replayed
+        from the store or computed and published."""
+        return self.refine_many(self.plan.regions())
 
-    def _run_live(self):
-        scout_machine = self.context.machine(self.base_meter.fork())
-        explorer_machines = [
-            self.context.machine(self.base_meter.fork())
-            for _ in self.explorer_specs]
-        machines = [scout_machine] + explorer_machines
+    def refine(self, spec):
+        """Scout + explore one region; returns its :class:`RegionWarmup`."""
+        return self.refine_many([spec])[0]
 
-        rng = self.context.rng(self.rng_label)
-        samplers = [
-            VicinitySampler(machine, density=self.vicinity_density,
-                            density_boost=self.vicinity_boost, rng=rng,
-                            footprint_scale=self.plan.footprint_scale)
-            for machine in explorer_machines]
-        scout = ScoutPass(scout_machine)
-        chain = ExplorerChain(explorer_machines, self.explorer_specs,
-                              vicinity_samplers=samplers,
-                              footprint_scale=self.plan.footprint_scale)
+    def refine_many(self, specs):
+        """Scout + explore the regions after those refined so far.
+
+        Returns their :class:`RegionWarmup` records.  A replayed
+        pipeline serves them from the stored bundle; a batch pipeline
+        publishes its bundle once it covers the final plan.
+        """
+        specs = list(specs)
+        start = len(self.regions)
+        if self.replayed:
+            self.regions.extend(
+                self._recorded.regions[start:start + len(specs)])
+            return self.regions[start:]
 
         # Scouts first: the Scout pass is RNG-free and touches only its
         # own machine, so every region's key set is known before any
         # Explorer runs — which lets the chain batch each Explorer
         # level's window profiles across all regions in one index pass.
-        # Explorer execution below keeps the original region-major
-        # order (the vicinity samplers share one RNG), consuming the
-        # precomputed profiles; both orders are bit-identical.
-        region_specs = list(self.plan.regions())
+        # Explorer execution below keeps region-major order (the
+        # vicinity samplers share one RNG), consuming the precomputed
+        # profiles; any split of the regions across calls is
+        # bit-identical.
         reports = []
         scout_seconds = []
-        for spec in region_specs:
-            mark = scout_machine.meter.ledger.total_seconds
-            reports.append(scout.run_region(spec))
+        for spec in specs:
+            mark = self.scout_machine.meter.ledger.total_seconds
+            reports.append(self.scout.run_region(spec))
             scout_seconds.append(
-                scout_machine.meter.ledger.total_seconds - mark)
-        from repro import kernels
+                self.scout_machine.meter.ledger.total_seconds - mark)
+        planned = self.chain.plan_regions(specs, reports)
 
-        planned = (chain.plan_regions(region_specs, reports)
-                   if kernels.get_backend() != "scalar" else
-                   [None] * len(region_specs))
-
-        regions = []
         for spec, report, region_planned, scout_delta in zip(
-                region_specs, reports, planned, scout_seconds):
+                specs, reports, planned, scout_seconds):
             marks = [m.meter.ledger.total_seconds
-                     for m in explorer_machines]
+                     for m in self.explorer_machines]
             vicinity = ReuseHistogram()
-            exploration = chain.run_region(spec, report, vicinity,
-                                           planned=region_planned)
-            key_distances = chain.key_reuse_distances(report, exploration)
+            exploration = self.chain.run_region(spec, report, vicinity,
+                                                planned=region_planned)
+            key_distances = self.chain.key_reuse_distances(report,
+                                                           exploration)
             stage_seconds = [scout_delta] + [
                 machine.meter.ledger.total_seconds - marks[k]
-                for k, machine in enumerate(explorer_machines)]
+                for k, machine in enumerate(self.explorer_machines)]
 
             n_keys = len(key_distances)
             vicinity_distances, vicinity_weights, vicinity_cold = \
                 vicinity.state()
-            regions.append(RegionWarmup(
+            self.regions.append(RegionWarmup(
                 key_lines=np.fromiter(
                     key_distances.keys(), np.int64, count=n_keys),
                 key_distances=np.fromiter(
@@ -231,122 +248,18 @@ class WarmupPipeline:
                 stage_seconds=stage_seconds,
             ))
 
-        self.bundle = WarmupBundle(
-            regions=regions,
-            pass_categories=[dict(m.meter.ledger.seconds_by_category)
-                             for m in machines],
-            sampler_paper=[s.collected_paper_equivalent for s in samplers],
-            sampler_model=[s.collected_model for s in samplers],
-        )
-        if self.store is not None:
-            self.store.save(self.key, self.bundle, label="warmup")
+        if (self.store is not None
+                and len(self.regions) == len(self.plan.regions())):
+            self.store.save(self.key, self.bundle(), label="warmup")
+        return self.regions[start:]
 
     # -- post-run accessors ---------------------------------------------------
 
-    def stage_times(self):
-        """Per-pass lists of per-region stage seconds (Scout first)."""
-        return [[region.stage_seconds[k] for region in self.bundle.regions]
-                for k in range(self.n_passes)]
-
-    def pass_ledgers(self):
-        """One :class:`TimeLedger` per warm-up pass, in pass order."""
-        ledgers = []
-        for categories in self.bundle.pass_categories:
-            ledger = TimeLedger()
-            ledger.seconds_by_category = dict(categories)
-            ledgers.append(ledger)
-        return ledgers
-
-    @property
-    def vicinity_paper(self):
-        return sum(self.bundle.sampler_paper)
-
-    @property
-    def vicinity_model(self):
-        return sum(self.bundle.sampler_model)
-
-
-class IncrementalWarmup:
-    """Per-region refinable Scout/Explorer execution for live feeds.
-
-    Carries exactly the state :meth:`WarmupPipeline._run_live`
-    accumulates — per-pass machines, the shared vicinity RNG, the
-    Explorer chain — but advances one region per :meth:`refine` call as
-    the feed covers it.  Bit-identity with a batch pipeline over the
-    same prefix holds because the Scout is RNG-free, the vicinity
-    samplers consume the shared stream strictly region-major in both
-    orders, and the batch path's cross-region window planning is a pure
-    index query (values identical to the unplanned per-region walk).
-
-    Exposes the same post-run accessors as :class:`WarmupPipeline`
-    (``stage_times``/``pass_ledgers``/``vicinity_*``) evaluated over the
-    regions refined so far, so result assembly is shared code.
-    """
-
-    def __init__(self, rng_label, context, explorer_specs,
-                 vicinity_density, vicinity_boost, base_meter,
-                 footprint_scale):
-        self.explorer_specs = tuple(explorer_specs)
-        self.n_passes = 1 + len(self.explorer_specs)
-        self.scout_machine = context.machine(base_meter.fork())
-        self.explorer_machines = [context.machine(base_meter.fork())
-                                  for _ in self.explorer_specs]
-        self.machines = [self.scout_machine] + self.explorer_machines
-        rng = context.rng(rng_label)
-        self.samplers = [
-            VicinitySampler(machine, density=float(vicinity_density),
-                            density_boost=float(vicinity_boost), rng=rng,
-                            footprint_scale=footprint_scale)
-            for machine in self.explorer_machines]
-        self.scout = ScoutPass(self.scout_machine)
-        self.chain = ExplorerChain(self.explorer_machines,
-                                   self.explorer_specs,
-                                   vicinity_samplers=self.samplers,
-                                   footprint_scale=footprint_scale)
-        self.regions = []
-
-    def refine(self, spec):
-        """Scout + explore one region; returns its :class:`RegionWarmup`."""
-        mark = self.scout_machine.meter.ledger.total_seconds
-        report = self.scout.run_region(spec)
-        scout_delta = (self.scout_machine.meter.ledger.total_seconds
-                       - mark)
-
-        marks = [m.meter.ledger.total_seconds
-                 for m in self.explorer_machines]
-        vicinity = ReuseHistogram()
-        exploration = self.chain.run_region(spec, report, vicinity,
-                                            planned=None)
-        key_distances = self.chain.key_reuse_distances(report, exploration)
-        stage_seconds = [scout_delta] + [
-            machine.meter.ledger.total_seconds - marks[k]
-            for k, machine in enumerate(self.explorer_machines)]
-
-        n_keys = len(key_distances)
-        vicinity_distances, vicinity_weights, vicinity_cold = \
-            vicinity.state()
-        region = RegionWarmup(
-            key_lines=np.fromiter(
-                key_distances.keys(), np.int64, count=n_keys),
-            key_distances=np.fromiter(
-                key_distances.values(), np.int64, count=n_keys),
-            vicinity_distances=vicinity_distances,
-            vicinity_weights=vicinity_weights,
-            vicinity_cold=vicinity_cold,
-            n_warming_resolved=len(report.warming_resolved),
-            n_unresolved=len(exploration.unresolved),
-            engaged=exploration.engaged,
-            resolved_by=list(exploration.resolved_by),
-            true_stops=exploration.true_stops,
-            false_stops=exploration.false_stops,
-            stage_seconds=stage_seconds,
-        )
-        self.regions.append(region)
-        return region
-
     def bundle(self):
-        """A :class:`WarmupBundle` snapshot of the state so far — the
-        watermark-publishable twin of the batch pipeline's record."""
+        """The bundle replayed from the store, or a snapshot of the
+        state so far (watermark-publishable)."""
+        if self.replayed:
+            return self._recorded
         return WarmupBundle(
             regions=list(self.regions),
             pass_categories=[dict(m.meter.ledger.seconds_by_category)
@@ -356,25 +269,25 @@ class IncrementalWarmup:
             sampler_model=[s.collected_model for s in self.samplers],
         )
 
-    # -- batch-pipeline-compatible accessors -------------------------------
-
     def stage_times(self):
-        return [[region.stage_seconds[k] for region in self.regions]
+        """Per-pass lists of per-region stage seconds (Scout first)."""
+        regions = self.bundle().regions
+        return [[region.stage_seconds[k] for region in regions]
                 for k in range(self.n_passes)]
 
     def pass_ledgers(self):
+        """One :class:`TimeLedger` per warm-up pass, in pass order."""
         ledgers = []
-        for machine in self.machines:
+        for categories in self.bundle().pass_categories:
             ledger = TimeLedger()
-            ledger.seconds_by_category = dict(
-                machine.meter.ledger.seconds_by_category)
+            ledger.seconds_by_category = dict(categories)
             ledgers.append(ledger)
         return ledgers
 
     @property
     def vicinity_paper(self):
-        return sum(s.collected_paper_equivalent for s in self.samplers)
+        return sum(self.bundle().sampler_paper)
 
     @property
     def vicinity_model(self):
-        return sum(s.collected_model for s in self.samplers)
+        return sum(self.bundle().sampler_model)

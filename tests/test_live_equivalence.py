@@ -130,6 +130,38 @@ class TestWatermarkEquivalence:
                         == batch_reference[(w.watermark, name)]), \
                     (spill_mode, w.watermark, name)
 
+    def test_live_never_replays_a_batch_bundle(self, tmp_path, full_trace,
+                                               batch_reference):
+        """A batch DeLorean run over the 1-watermark prefix publishes a
+        warm-up bundle at the very address a live run's first watermark
+        would have; live must not replay it, or watermark 2 (whose
+        region the bundle lacks) would diverge from batch."""
+        from repro.core.delorean import DeLorean
+
+        class FingerprintedPrefix(PrefixWorkload):
+            # Content-addressed like the live feed's own workload.
+            @property
+            def trace_fingerprint(self):
+                return trace_fingerprint(self.trace)
+
+        store = ArtifactStore(root=tmp_path / "cache", enabled=True)
+        with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED,
+                        store=store) as runner:
+            DeLorean().run(
+                FingerprintedPrefix(prefix_trace(full_trace, GAP),
+                                    seed=SEED),
+                runner.plan_for(1), HIERARCHY, seed=SEED, store=store)
+            saves = store.saves
+            watermarks = runner.run(chunk_trace(full_trace, CHUNK))
+            assert not runner.runs["DeLorean"].warmup.replayed
+        assert saves >= 1
+        assert [w.watermark for w in watermarks] == [1, 2]
+        for w in watermarks:
+            for name in default_strategies():
+                assert (_identity(w.results[name])
+                        == batch_reference[(w.watermark, name)]), \
+                    (w.watermark, name)
+
     def test_plans_nest_across_watermarks(self, tmp_path, full_trace):
         with LiveRunner(GAP, HIERARCHY, name="small", seed=SEED) \
                 as runner:
@@ -416,13 +448,21 @@ def _measure(target, workdir, *args):
     return payload
 
 
+@pytest.fixture(scope="module")
+def live_rss(tmp_path_factory):
+    """The ``RSS_WATERMARKS`` live child, measured once for both bounds
+    below (each spawn replays a 1M-access feed)."""
+    return _measure(_child_live, tmp_path_factory.mktemp("live"),
+                    RSS_WATERMARKS)
+
+
 @pytest.mark.slow
 class TestBoundedRSSLive:
     """The live path's transient heap stays bounded while the feed
     grows without bound (≥1M accesses; the acceptance fixture)."""
 
-    def test_live_heap_bounded_vs_batch(self, tmp_path):
-        live = _measure(_child_live, tmp_path / "live", RSS_WATERMARKS)
+    def test_live_heap_bounded_vs_batch(self, tmp_path, live_rss):
+        live = live_rss
         batch = _measure(_child_batch, tmp_path / "batch",
                          RSS_WATERMARKS)
         assert live["watermarks"] == list(range(1, RSS_WATERMARKS + 1))
@@ -434,9 +474,10 @@ class TestBoundedRSSLive:
         # batch build (which holds trace + index tables in RAM at once).
         assert live["heap_peak"] < batch["heap_peak"] / 2, (live, batch)
 
-    def test_live_heap_sublinear_in_feed_length(self, tmp_path):
+    def test_live_heap_sublinear_in_feed_length(self, tmp_path, live_rss):
         short = _measure(_child_live, tmp_path / "short", 2)
-        long = _measure(_child_live, tmp_path / "long", 4)
+        long = live_rss
+        assert long["watermarks"] == [1, 2, 3, 4]
         assert long["n_accesses"] >= 2 * 0.95 * short["n_accesses"]
         # Doubling the feed must not come close to doubling the heap:
         # transients are O(chunk + unique keys), not O(feed).

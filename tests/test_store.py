@@ -447,18 +447,27 @@ def test_runner_warm_start_skips_simulation(tmp_path, monkeypatch):
     assert result_blob(result) == result_blob(expected)
 
 
-def test_delorean_warmup_replay_across_llc(tmp_path):
+def test_delorean_warmup_replay_across_llc(tmp_path, monkeypatch):
     """Warm-up bundles are LLC-independent: a run at a new cache size
     replays the stored scout/explorer products bit-identically."""
+    from repro.core.explorer import ExplorerChain
+    from repro.core.scout import ScoutPass
+
     off = SuiteRunner(TINY, store=ArtifactStore(enabled=False))
+    r_off = off.run("bwaves", "DeLorean", llc_paper_bytes=512 * MIB)
     store = ArtifactStore(root=tmp_path, enabled=True)
     cold = SuiteRunner(TINY, store=store)
     cold.run("bwaves", "DeLorean")                     # publishes the bundle
 
+    def recomputed(*args, **kwargs):
+        raise AssertionError("warm-up pass ran despite a stored bundle")
+
+    monkeypatch.setattr(ScoutPass, "run_region", recomputed)
+    monkeypatch.setattr(ExplorerChain, "plan_regions", recomputed)
+    monkeypatch.setattr(ExplorerChain, "run_region", recomputed)
     warm_store = ArtifactStore(root=tmp_path, enabled=True)
     warm = SuiteRunner(TINY, store=warm_store)
     r_warm = warm.run("bwaves", "DeLorean", llc_paper_bytes=512 * MIB)
-    r_off = off.run("bwaves", "DeLorean", llc_paper_bytes=512 * MIB)
     assert result_blob(r_warm) == result_blob(r_off)
     # the 512 MiB result itself was new (one save), but the warm-up came
     # from the store rather than being recomputed
