@@ -136,7 +136,8 @@ def build_cache_parser():
     parser.add_argument("action",
                         choices=("stats", "ls", "gc", "clear", "verify"),
                         help="stats: tier summary; ls: list entries; "
-                             "gc: drop stale-schema blobs and temp litter; "
+                             "gc: drop stale blobs (old schema or retired "
+                             "kind) and temp litter; "
                              "clear: remove everything; "
                              "verify: re-hash every blob against its "
                              "recorded checksum")
@@ -192,7 +193,7 @@ def cache_main(argv):
                 "label": header.get("label") or header.get("kind", "?"),
                 "kind": header.get("kind", "?"),
                 "bytes": size,
-                "stale": header.get("schema") != store.schema_version,
+                "stale": store.disk.is_stale(header),
                 "lineage": live[1] if live is not None else None,
                 "watermark": live[2] if live is not None else None,
             })

@@ -7,8 +7,8 @@ lifetime of the process and keeps at most one workload's trace and index
 in memory at a time.
 
 Memoization is backed by the persistent artifact store
-(:mod:`repro.store`): results, design-space reports and trace-index
-position tables are addressed by stable fingerprints of (workload spec,
+(:mod:`repro.store`): results, design-space reports and spilled
+trace-index tables are addressed by stable fingerprints of (workload spec,
 experiment config, strategy + options), so a second ``python -m repro``
 invocation — or a DSE sweep weeks later — warm-starts from disk instead
 of re-simulating.  ``REPRO_CACHE=off`` restores purely in-process
@@ -250,7 +250,7 @@ class SuiteRunner:
             **self._benchmark_identity(name),
         }
 
-    def _index_store_key(self, name, artifact="trace-index"):
+    def _index_store_key(self, name):
         identity = self._benchmark_identity(name)
         if "trace_fingerprint" not in identity:
             # Streamed synthetics are not in the registry/library but do
@@ -264,12 +264,12 @@ class SuiteRunner:
                     identity = {"trace_fingerprint": fp}
         if "trace_fingerprint" in identity:
             # The position index is a pure function of the trace.  The
-            # spilled variant intentionally matches
+            # key intentionally matches
             # ``ExecutionContext._default_index_key`` so standalone
             # strategy runs and suite runs share one artifact.
-            return {"artifact": artifact, **identity}
+            return {"artifact": "trace-index-spill", **identity}
         return {
-            "artifact": artifact,
+            "artifact": "trace-index-spill",
             "n_instructions": self.config.n_instructions,
             "seed": self.config.seed,
             "footprint_scale": self.config.footprint_scale,
@@ -338,32 +338,24 @@ class SuiteRunner:
         workload = self._workload(name)
         if self._active_index is not None:
             return self._active_index
-        if wants_spill(workload):
-            # Streaming mode: chunked construction, spilled through the
-            # store, served as memory-mapped tables.  Pool workers
-            # sharing the store root open the same blob by digest — the
-            # first builder publishes, everyone else maps.
-            key = self._index_store_key(name, artifact="trace-index-spill")
-            with telemetry.span("phase.index", rss=True, benchmark=name,
-                                spilled=self.store.enabled):
-                if self.store.enabled:
-                    self._active_index = TraceIndex.build_spilled(
-                        workload.trace, self.store, key)
-                else:
-                    self._active_index = TraceIndex.build_chunked(
-                        workload.trace)
-        else:
-            key = self._index_store_key(name)
-            tables = self.store.load(key, label="trace-index")
-            if tables is not None:
-                self._active_index = TraceIndex.from_tables(
-                    workload.trace, tables)
+        spill = wants_spill(workload)
+        with telemetry.span("phase.index", rss=True, benchmark=name,
+                            spilled=spill and self.store.enabled):
+            if not spill:
+                # A materialized trace's index is rebuilt in RAM, never
+                # stored: building it is cheaper than deflating its
+                # tables into the store.
+                self._active_index = TraceIndex(workload.trace)
+            elif self.store.enabled:
+                # Streaming mode: chunked construction, spilled through
+                # the store, served as memory-mapped tables.  Pool
+                # workers sharing the store root open the same blob by
+                # digest — the first builder publishes, everyone else
+                # maps.
+                self._active_index = TraceIndex.build_spilled(
+                    workload.trace, self.store, self._index_store_key(name))
             else:
-                with telemetry.span("phase.index", rss=True,
-                                    benchmark=name, spilled=False):
-                    self._active_index = TraceIndex(workload.trace)
-                self.store.save(key, self._active_index.tables(),
-                                label="trace-index")
+                self._active_index = TraceIndex.build_chunked(workload.trace)
         return self._active_index
 
     def _context(self, name):

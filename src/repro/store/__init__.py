@@ -16,7 +16,7 @@ and ``REPRO_CACHE=off`` (disable: exact pre-store behavior).
 from repro.store.fingerprint import canonical_bytes, fingerprint, memo_key
 from repro.store.memory import LRUCache
 from repro.store.disk import DiskStore
-from repro.store.serialize import KIND_NPZ, KIND_PICKLE, decode, encode
+from repro.store.serialize import KIND_PICKLE, decode, encode
 from repro.store.store import (
     SCHEMA_VERSION,
     ArtifactStore,
@@ -30,7 +30,6 @@ from repro.store.store import (
 __all__ = [
     "ArtifactStore",
     "DiskStore",
-    "KIND_NPZ",
     "KIND_PICKLE",
     "LRUCache",
     "SCHEMA_VERSION",

@@ -30,10 +30,11 @@ serving memory-mapped artifacts hold it *shared* for their lifetime
 <repro.store.store.ArtifactStore.load_mapped>`), so a ``cache clear``
 waits for live memmaps instead of deleting blobs under them.  The lock
 is advisory — on timeout, ``gc`` still reclaims what is provably safe
-(temp litter and stale-schema blobs, which are never served) and leaves
-the rest.
+(temp litter and stale blobs, which are never served) and leaves the
+rest.
 
-Entries written under an older schema version are never served — they
+*Stale* entries — written under an older schema version, or of a
+retired artifact kind (:data:`RETIRED_KINDS`) — are never served: they
 are invisible to ``get`` and reclaimed by ``gc``.
 """
 
@@ -59,6 +60,9 @@ _SHA_PLACEHOLDER = "0" * 64
 _HASH_CHUNK = 1 << 20
 #: Default wait for the exclusive maintenance lock before degrading.
 LOCK_TIMEOUT_SECONDS = 5.0
+#: Artifact kinds no codec reads any more: ``npz`` held compressed
+#: in-RAM trace-index tables, which are now rebuilt instead of stored.
+RETIRED_KINDS = frozenset({"npz"})
 
 
 def _hash_file_from(handle, offset):
@@ -97,6 +101,11 @@ class DiskStore:
 
     def path_for(self, digest):
         return self.objects_dir / digest[:2] / f"{digest}.blob"
+
+    def is_stale(self, header):
+        """True for a blob never served: old schema or retired kind."""
+        return (header.get("schema") != self.schema_version
+                or header.get("kind") in RETIRED_KINDS)
 
     # -- locking -------------------------------------------------------------
 
@@ -176,7 +185,7 @@ class DiskStore:
         """
         path = self.path_for(digest)
         blob = self._read_blob(path)
-        if blob is None or blob[0].get("schema") != self.schema_version:
+        if blob is None or self.is_stale(blob[0]):
             return None
         header, payload, _ = blob
         recorded = header.get("sha256")
@@ -197,7 +206,7 @@ class DiskStore:
         """
         path = self.path_for(digest)
         blob = self._read_blob(path, header_only=True)
-        if blob is None or blob[0].get("schema") != self.schema_version:
+        if blob is None or self.is_stale(blob[0]):
             return None
         return blob[0], path, blob[2]
 
@@ -219,7 +228,7 @@ class DiskStore:
                 self.quarantine(digest)
             return status
         header, _, offset = blob
-        if header.get("schema") != self.schema_version:
+        if self.is_stale(header):
             return "stale"
         recorded = header.get("sha256")
         if recorded is None:
@@ -440,7 +449,7 @@ class DiskStore:
         n_stale = 0
         by_label = {}
         for _, header, size in self.entries():
-            if header.get("schema") != self.schema_version:
+            if self.is_stale(header):
                 n_stale += 1
                 continue
             n_entries += 1
@@ -465,7 +474,7 @@ class DiskStore:
         }
 
     def gc(self, lock_timeout=LOCK_TIMEOUT_SECONDS):
-        """Remove stale-schema blobs, unreadable blobs and temp litter.
+        """Remove stale blobs, unreadable blobs and temp litter.
 
         Temp files younger than :data:`TMP_GRACE_SECONDS` are spared —
         they may belong to a writer that has not yet renamed them into
@@ -473,9 +482,9 @@ class DiskStore:
 
         Takes the maintenance lock exclusive first; if live readers (or
         publishers) hold it past ``lock_timeout``, only the provably
-        safe sweep runs — expired temp files and stale-schema blobs,
-        neither of which is ever served or mapped — and unreadable
-        blobs are left for a later pass.
+        safe sweep runs — expired temp files and stale blobs (old
+        schema or retired kind), neither of which is ever served or
+        mapped — and unreadable blobs are left for a later pass.
         """
         removed = 0
         reclaimed = 0
@@ -503,7 +512,7 @@ class DiskStore:
                     # lock proves no readers exist.
                     if lock is None:
                         continue
-                elif blob[0].get("schema") == self.schema_version:
+                elif not self.is_stale(blob[0]):
                     continue
                 size = self._size_of(path)
                 if size < 0:

@@ -1,15 +1,12 @@
 """Artifact codecs: compressed bytes <-> Python objects.
 
-Three wire formats cover every artifact the pipeline persists:
+Two wire formats cover every artifact the pipeline persists:
 
-* ``npz`` — a flat mapping of numpy arrays (``numpy.savez_compressed``),
-  used for :class:`~repro.vff.index.TraceIndex` position tables where
-  array round-trips must be exact and pickling overhead matters;
-* ``npzm`` — the same mapping stored as an *uncompressed* npz whose
-  members can be memory-mapped in place inside the blob file.  This is
-  the spillable-index format: tables are streamed into the blob without
-  ever holding the payload in RAM (:func:`write_arrays_stream`) and
-  served back as read-only ``np.memmap`` views
+* ``npzm`` — a flat mapping of numpy arrays stored as an *uncompressed*
+  npz whose members can be memory-mapped in place inside the blob file.
+  This is the spillable-index format: tables are streamed into the blob
+  without ever holding the payload in RAM (:func:`write_arrays_stream`)
+  and served back as read-only ``np.memmap`` views
   (:func:`mapped_arrays`), so queries page data in on demand;
 * ``pkl`` — zlib-compressed pickle for everything else
   (:class:`~repro.sampling.results.StrategyResult`,
@@ -29,31 +26,26 @@ import zlib
 
 import numpy as np
 
-KIND_NPZ = "npz"
 KIND_NPZ_MAPPED = "npzm"
 KIND_PICKLE = "pkl"
 
 
 def is_array_mapping(obj):
-    """True for the non-empty dict-of-ndarrays shapes the npz codec
-    handles (also used by the memory tier's byte accounting)."""
+    """True for non-empty dict-of-ndarrays (the memory tier charges
+    these their decoded buffer size)."""
     return (isinstance(obj, dict) and bool(obj)
             and all(isinstance(v, np.ndarray) for v in obj.values()))
 
 
 def encode(obj):
     """Serialize ``obj``; returns ``(kind, payload_bytes)``."""
-    if is_array_mapping(obj):
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **obj)
-        return KIND_NPZ, buffer.getvalue()
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return KIND_PICKLE, zlib.compress(payload, 6)
 
 
 def decode(kind, payload):
     """Inverse of :func:`encode` (and in-RAM fallback for ``npzm``)."""
-    if kind in (KIND_NPZ, KIND_NPZ_MAPPED):
+    if kind == KIND_NPZ_MAPPED:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             return {name: archive[name] for name in archive.files}
     if kind == KIND_PICKLE:

@@ -109,9 +109,9 @@ def _warn_unusable_root(root, reason):
 def _resident_size(obj, payload_size):
     """Bytes an entry is charged in the memory tier.
 
-    Array mappings (npz artifacts) decompress far beyond their payload,
-    so charge their true buffer size; everything else is approximated by
-    its encoded size.
+    Array mappings decompress far beyond their payload, so charge their
+    true buffer size; everything else is approximated by its encoded
+    size.
     """
     if is_array_mapping(obj):
         return sum(v.nbytes for v in obj.values())

@@ -800,7 +800,7 @@ class TraceIndex:
             s.add_time("index.build.argsort", time.perf_counter() - t0)
 
     def tables(self):
-        """Flat array mapping for the artifact store (npz-friendly)."""
+        """Flat array mapping, the form the artifact store persists."""
         return {**self.lines.tables("lines"), **self.pages.tables("pages")}
 
     @classmethod

@@ -186,7 +186,7 @@ def test_encode_decode_array_mapping_roundtrip():
         "c": np.array([True, False, True]),
     }
     kind, payload = encode(tables)
-    assert kind == "npz"
+    assert kind == "pkl"                 # no dedicated array codec
     decoded = decode(kind, payload)
     assert set(decoded) == set(tables)
     for name in tables:
@@ -224,6 +224,31 @@ def test_disk_stale_schema_invisible_and_gc(tmp_path):
     assert removed == 1 and reclaimed > 0
     assert old.get("aa" * 32) is None
     assert new.get("bb" * 32) is not None
+
+
+def test_disk_gc_sweeps_retired_npz_kind(tmp_path):
+    """Compressed-array (``npz``) blobs are never read any more: gc
+    reclaims them like stale-schema blobs — even while a reader holds
+    the store lock — and leaves live ones alone."""
+    from repro.reliability.locks import FileLock
+    disk = DiskStore(tmp_path, SCHEMA_VERSION)
+    retired = disk.put("a1" * 32, "npz", b"old index tables",
+                       label="trace-index")
+    retired_bytes = retired.stat().st_size
+    disk.put("b2" * 32, "pkl", b"result", label="strategy-result")
+    assert disk.get("a1" * 32) is None
+    stats = disk.stats()
+    assert stats["stale_entries"] == 1 and stats["entries"] == 1
+    assert "trace-index" not in stats["by_label"]
+    reader = FileLock(disk.lock_path)
+    assert reader.acquire(exclusive=False, timeout=0)
+    try:
+        removed, reclaimed = disk.gc(lock_timeout=0.1)
+    finally:
+        reader.release()
+    assert removed == 1 and reclaimed == retired_bytes
+    assert not retired.exists()
+    assert disk.get("b2" * 32) is not None
 
 
 def test_disk_corrupt_blob_is_a_miss(tmp_path):
@@ -336,13 +361,18 @@ def test_store_get_or_create(tmp_path):
 # -- artifact round-trips over address engines -----------------------------
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_WORKLOADS))
-def test_trace_index_tables_roundtrip(engine):
+def test_trace_index_tables_roundtrip(engine, tmp_path):
+    """Index tables survive the one persisted index form: an ``npzm``
+    blob served back as memory maps."""
     workload = ENGINE_WORKLOADS[engine]()
     trace = workload.trace
     index = TraceIndex(trace)
     tables = index.tables()
-    kind, payload = encode(tables)
-    restored = TraceIndex.from_tables(trace, decode(kind, payload))
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    key = {"artifact": "trace-index-spill", "engine": engine}
+    store.save_arrays(key, tables, label="trace-index-spill")
+    restored = TraceIndex.from_tables(trace, store.load_mapped(key))
+    assert restored.mapped
     for name in tables:
         assert np.array_equal(tables[name],
                               {**restored.tables()}[name])
@@ -433,6 +463,21 @@ def test_runner_warm_start_is_bit_identical(tmp_path):
         assert result_blob(r_warm) == result_blob(off.run("bwaves", strategy))
     assert warm_store.saves == 0           # nothing was recomputed
     assert warm_store.disk_hits >= 2
+
+
+def test_runner_never_persists_in_ram_index(tmp_path):
+    """A materialized workload's index is rebuilt, never saved: its
+    tables are cheaper to rebuild than to deflate into the store."""
+    off = SuiteRunner(TINY, store=ArtifactStore(enabled=False))
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    cold = SuiteRunner(TINY, store=store)
+    for llc in (None, 512 * MIB):
+        for name in ("bwaves", "mcf"):
+            for strategy in ("SMARTS", "DeLorean"):
+                r_cold = cold.run(name, strategy, llc_paper_bytes=llc)
+                r_off = off.run(name, strategy, llc_paper_bytes=llc)
+                assert result_blob(r_cold) == result_blob(r_off)
+    assert "trace-index" not in store.disk.stats()["by_label"]
 
 
 def test_runner_warm_start_skips_simulation(tmp_path, monkeypatch):
