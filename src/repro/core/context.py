@@ -29,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.util.rng import child_rng
 from repro.vff.index import TraceIndex
 from repro.vff.machine import VirtualMachine
 
 #: ``REPRO_INDEX_SPILL`` values (default ``auto``): ``auto`` spills the
 #: index for streaming workloads with an enabled store; ``always``
-#: forces chunked/spilled construction for every workload; ``never``
-#: restores the in-RAM argsort build unconditionally.
+#: spills it for every workload; ``never`` keeps the index tables on the
+#: heap unconditionally.
 SPILL_MODES = ("auto", "always", "never")
 
 _NEVER_VALUES = ("never", "off", "0", "false", "no")
@@ -65,8 +66,8 @@ def index_spill_mode():
 def wants_spill(workload, mode=None):
     """Whether the policy asks for a spilled index for this workload.
 
-    The single place the dispatch rule lives — the suite runner and
-    :class:`ExecutionContext` both consult it.
+    The single place the dispatch rule lives; :class:`ExecutionContext`
+    is its one caller that builds an index.
     """
     mode = mode if mode is not None else index_spill_mode()
     return (mode == "always"
@@ -165,13 +166,20 @@ class ExecutionContext:
         return self._index
 
     def _build_index(self):
-        store = self.store
-        if not wants_spill(self.workload, self._spill):
+        spill = (wants_spill(self.workload, self._spill)
+                 and getattr(self.store, "enabled", False))
+        with telemetry.span("phase.index", rss=True, benchmark=self.name,
+                            spilled=spill):
+            if spill:
+                # Spilled through the store and served as memory-mapped
+                # tables.  Pool workers sharing the store root open the
+                # same blob by digest: the first builder publishes,
+                # everyone else maps.
+                return TraceIndex.build_spilled(self.trace, self.store,
+                                                self._default_index_key())
+            # Heap tables, never stored: rebuilding a materialized
+            # trace's index is cheaper than saving it.
             return TraceIndex(self.trace)
-        if store is None or not getattr(store, "enabled", False):
-            return TraceIndex.build_chunked(self.trace)
-        return TraceIndex.build_spilled(self.trace, store,
-                                        self._default_index_key())
 
     def _default_index_key(self):
         if self._index_key is not None:

@@ -43,15 +43,18 @@ budget raise one structured
 failed benchmark and its last failure, instead of whichever raw
 traceback the pool happened to surface first.
 
-Imported workloads run **end-to-end in streaming mode**: every strategy
-executes on one shared :class:`~repro.core.context.ExecutionContext`
-whose trace is the container's memory-mapped view and whose
-:class:`~repro.vff.index.TraceIndex` is built chunked and *spilled*
-through the store (``REPRO_INDEX_SPILL``, default ``auto``), then served
-back as memory-mapped tables.  Pool workers open readers and mapped
-indices by content digest from the shared store root — arrays never
-cross the process boundary, and a run's resident set scales with the
-sampled regions rather than the trace length.
+Every strategy run of one benchmark executes on one shared
+:class:`~repro.core.context.ExecutionContext`, which builds the
+benchmark's :class:`~repro.vff.index.TraceIndex` lazily under the spill
+policy (``REPRO_INDEX_SPILL``, default ``auto``); the runner never
+builds an index itself.  Imported workloads therefore run **end-to-end
+in streaming mode**: the trace is the container's memory-mapped view,
+and the index is spilled through the store under its content
+fingerprint, then served back as memory-mapped tables — the same
+artifact a standalone context opens.  Pool workers open readers and
+mapped indices by content digest from the shared store root — arrays
+never cross the process boundary, and a run's resident set scales with
+the sampled regions rather than the trace length.
 """
 
 import json
@@ -62,7 +65,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import telemetry
 from repro.caches.hierarchy import paper_hierarchy
-from repro.core.context import ExecutionContext, index_spill_mode, wants_spill
+from repro.core.context import ExecutionContext, index_spill_mode
 from repro.core.delorean import DeLorean
 from repro.core.dse import DesignSpaceExploration
 from repro.reliability.faults import active_plan, visit_task_seam
@@ -91,7 +94,6 @@ from repro.traceio import (
     resolve_workload,
     workload_fingerprint,
 )
-from repro.vff.index import TraceIndex
 
 STRATEGIES = {
     "SMARTS": Smarts,
@@ -174,7 +176,6 @@ class SuiteRunner:
         self.store = store if store is not None else get_store()
         self._results = {}
         self._active_workload = None
-        self._active_index = None
         self._active_context = None
         #: The :class:`MatrixReport` of the most recent pooled
         #: ``run_matrix`` dispatch (None before the first one).
@@ -250,32 +251,6 @@ class SuiteRunner:
             **self._benchmark_identity(name),
         }
 
-    def _index_store_key(self, name):
-        identity = self._benchmark_identity(name)
-        if "trace_fingerprint" not in identity:
-            # Streamed synthetics are not in the registry/library but do
-            # carry a content fingerprint (from their blob manifest) —
-            # use it, so their index artifact is content-addressed like
-            # an imported trace's.
-            workload = self._active_workload
-            if workload is not None and workload.name == name:
-                fp = getattr(workload, "trace_fingerprint", None)
-                if fp is not None:
-                    identity = {"trace_fingerprint": fp}
-        if "trace_fingerprint" in identity:
-            # The position index is a pure function of the trace.  The
-            # key intentionally matches
-            # ``ExecutionContext._default_index_key`` so standalone
-            # strategy runs and suite runs share one artifact.
-            return {"artifact": "trace-index-spill", **identity}
-        return {
-            "artifact": "trace-index-spill",
-            "n_instructions": self.config.n_instructions,
-            "seed": self.config.seed,
-            "footprint_scale": self.config.footprint_scale,
-            **identity,
-        }
-
     # -- workload management -------------------------------------------------
 
     def _workload(self, name):
@@ -334,38 +309,13 @@ class SuiteRunner:
             footprint_scale=self.config.footprint_scale,
         )
 
-    def _index(self, name):
-        workload = self._workload(name)
-        if self._active_index is not None:
-            return self._active_index
-        spill = wants_spill(workload)
-        with telemetry.span("phase.index", rss=True, benchmark=name,
-                            spilled=spill and self.store.enabled):
-            if not spill:
-                # A materialized trace's index is rebuilt in RAM, never
-                # stored: building it is cheaper than deflating its
-                # tables into the store.
-                self._active_index = TraceIndex(workload.trace)
-            elif self.store.enabled:
-                # Streaming mode: chunked construction, spilled through
-                # the store, served as memory-mapped tables.  Pool
-                # workers sharing the store root open the same blob by
-                # digest — the first builder publishes, everyone else
-                # maps.
-                self._active_index = TraceIndex.build_spilled(
-                    workload.trace, self.store, self._index_store_key(name))
-            else:
-                self._active_index = TraceIndex.build_chunked(workload.trace)
-        return self._active_index
-
     def _context(self, name):
         """The shared execution context for one benchmark's runs."""
         workload = self._workload(name)
         if (self._active_context is None
                 or self._active_context.workload is not workload):
             self._active_context = ExecutionContext(
-                workload, index=self._index(name), store=self.store,
-                seed=self.config.seed)
+                workload, store=self.store, seed=self.config.seed)
         return self._active_context
 
     # -- running ---------------------------------------------------------------
@@ -737,20 +687,17 @@ class SuiteRunner:
     def _release_active(self):
         """Close every resource of the active benchmark.
 
-        Order matters: the index's memory-mapped table views unmap
+        Order matters: the context unmaps its index's table views
         first, then the workload's streaming :class:`TraceReader` drops
         its zip-member memmaps.  Pool-worker paths run through here too
         (``_run_benchmark_worker`` calls :meth:`release`), so a
         ``run_matrix`` over imported workloads leaks no mappings.
         """
-        if self._active_index is not None:
-            close = getattr(self._active_index, "close", None)
-            if close is not None:
-                close()
-        if self._active_workload is not None:
+        if self._active_context is not None:
+            self._active_context.release()
+        elif self._active_workload is not None:
             self._active_workload.release()
         self._active_workload = None
-        self._active_index = None
         self._active_context = None
 
     def release(self):

@@ -215,7 +215,7 @@ class LiveRunner:
         mode = spill if spill is not None else index_spill_mode()
         # streaming workload: "auto" spills whenever a store is
         # available, "always" demands one, "never" keeps tables on the
-        # heap (exactly the batch build_chunked/build_spilled split).
+        # heap (exactly the batch heap/spilled split).
         spill_store = (store if store is not None and store.enabled
                        and mode != "never" else None)
         self.writer = TraceStreamWriter(spill_dir=spill_dir)

@@ -4,24 +4,29 @@ A real DeLorean run discovers reuses by executing with watchpoints; the
 trace-driven substitute answers the same questions from a sorted index:
 *when was line L last accessed before access position P?* and *how many
 accesses hit page G inside a window?* (the stop count a page-protection
-watchpoint would have taken).  Building the index is two argsorts; every
-query is a binary search.
+watchpoint would have taken).  Every query is a binary search or an
+O(1) table lookup.
 
-Two construction modes exist:
+One builder constructs every index from scratch:
+:func:`build_index_tables` scans the trace in bounded windows
+(``REPRO_INDEX_CHUNK``) and produces, per granularity, the grouped
+position tables plus the one per-access table the batched watchpoint
+kernels read — line *successors* and page *ranks*.  Its callers only
+choose where the tables live:
 
-* the classic in-RAM argsort (``TraceIndex(trace)``), still the default
-  for synthetic workloads whose traces are RAM-resident anyway;
-* a **chunked, spillable** build (:func:`build_index_tables` /
-  :meth:`TraceIndex.build_spilled`): the trace is scanned in bounded
-  windows, the grouped position tables — *including* the successor and
-  rank tables the batched watchpoint kernels need — are written to
-  spill files, published through the artifact store as an uncompressed
-  npz, and served back as read-only memory maps
-  (:meth:`TraceIndex.open`).  Queries then touch only the table pages
-  the watchpoints direct them to, so a strategy run's resident set
-  scales with the sampled regions rather than the trace length.
+* ``TraceIndex(trace)`` keeps them on the heap;
+* :meth:`TraceIndex.build_spilled` writes them to spill files, publishes
+  them through the artifact store as an uncompressed npz and serves
+  them back as read-only memory maps (:meth:`TraceIndex.open`).
+  Queries then touch only the table pages the watchpoints direct them
+  to, so a strategy run's resident set scales with the sampled regions
+  rather than the trace length.
+
+:class:`LiveIndexBuilder` maintains the same table set incrementally
+over an append-only feed.
 """
 
+import contextlib
 import os
 import shutil
 import tempfile
@@ -39,6 +44,14 @@ DEFAULT_CHUNK_ACCESSES = 1 << 20
 
 _PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
 
+_GRANULARITIES = ("lines", "pages")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: The per-access table each granularity carries next to its grouped
+#: ``positions``/``keys``/``starts``: the only ones a query reads.
+_PER_ACCESS = {"lines": "successors", "pages": "ranks"}
+
 
 def _as_int64(array):
     """``array`` as contiguous int64 — without copying when it already
@@ -52,37 +65,15 @@ def _as_int64(array):
 class _PositionIndex:
     """Sorted access positions grouped by key (line or page)."""
 
-    def __init__(self, keys):
-        keys = np.asarray(keys)
-        order = np.argsort(keys, kind="stable")
-        self._positions = order.astype(np.int64)
-        sorted_keys = keys[order]
-        unique, starts = np.unique(sorted_keys, return_index=True)
-        self._keys = unique
-        self._starts = np.concatenate(
-            (starts, [keys.shape[0]])).astype(np.int64)
-        self._successors = None
-        self._ranks = None
+    def __init__(self, tables, prefix):
+        """Adopt the ``prefix`` granularity's grouped tables.
 
-    @classmethod
-    def from_tables(cls, positions, keys, starts, successors=None,
-                    ranks=None):
-        """Rebuild from persisted tables, skipping the argsort.
-
-        ``positions``/``keys``/``starts`` may be memory-mapped views —
-        they are adopted as-is (no copy) when already the right dtype,
-        which is what keeps a spilled index out of RAM.  Persisted
-        ``successors``/``ranks`` tables short-circuit the lazy in-RAM
-        builds the batched watchpoint kernels would otherwise trigger.
+        Memory-mapped views are adopted as-is (no copy) when already the
+        right dtype, which is what keeps a spilled index out of RAM.
         """
-        index = cls.__new__(cls)
-        index._positions = _as_int64(positions)
-        index._keys = np.asanyarray(keys)
-        index._starts = _as_int64(starts)
-        index._successors = None if successors is None else \
-            _as_int64(successors)
-        index._ranks = None if ranks is None else _as_int64(ranks)
-        return index
+        self._positions = _as_int64(tables[f"{prefix}_positions"])
+        self._keys = np.asanyarray(tables[f"{prefix}_keys"])
+        self._starts = _as_int64(tables[f"{prefix}_starts"])
 
     def tables(self, prefix):
         """The persistable position tables, namespaced by ``prefix``."""
@@ -91,45 +82,6 @@ class _PositionIndex:
             f"{prefix}_keys": self._keys,
             f"{prefix}_starts": self._starts,
         }
-
-    def successors(self):
-        """Next same-key position for *every* access position (-1 if last).
-
-        The grouped table already stores each key's run contiguously in
-        ascending position order, so the successor of a run element is
-        its right neighbour; scattering through the (permutation)
-        position table turns that into an O(1) lookup per access.  Built
-        lazily, once, in a single vectorized pass.
-        """
-        if self._successors is None:
-            n = self._positions.shape[0]
-            succ_sorted = np.empty(n, dtype=np.int64)
-            if n:
-                succ_sorted[:-1] = self._positions[1:]
-                succ_sorted[-1] = -1
-                succ_sorted[self._starts[1:] - 1] = -1   # run boundaries
-            successors = np.empty(n, dtype=np.int64)
-            successors[self._positions] = succ_sorted
-            self._successors = successors
-        return self._successors
-
-    def ranks(self):
-        """Rank of every access position within its key's run.
-
-        ``ranks()[p]`` is the number of same-key accesses strictly
-        before position ``p``; the difference of two same-key ranks is
-        therefore the access count between them — the O(1) stop-count
-        primitive behind the batched watchpoint kernels.
-        """
-        if self._ranks is None:
-            n = self._positions.shape[0]
-            lengths = np.diff(self._starts)
-            rank_sorted = (np.arange(n, dtype=np.int64)
-                           - np.repeat(self._starts[:-1], lengths))
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[self._positions] = rank_sorted
-            self._ranks = ranks
-        return self._ranks
 
     def positions(self, key):
         """Ascending access positions of ``key`` (empty if unseen)."""
@@ -278,30 +230,126 @@ class IndexBuildStats:
 
 
 def default_chunk_accesses():
-    """Chunk length from ``REPRO_INDEX_CHUNK`` (accesses), or default."""
+    """Chunk length from ``REPRO_INDEX_CHUNK`` (accesses), or default.
+
+    A value that is not a positive integer raises rather than silently
+    meaning the default — the ``REPRO_INDEX_SPILL`` contract, so a typo
+    cannot mask a deliberate setting.
+    """
     raw = os.environ.get("REPRO_INDEX_CHUNK", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CHUNK_ACCESSES
+    if not raw:
+        return DEFAULT_CHUNK_ACCESSES
+    try:
+        chunk = int(raw)
+    except ValueError:
+        chunk = 0
+    if chunk < 1:
+        raise ValueError(
+            f"REPRO_INDEX_CHUNK must be a positive integer, got {raw!r}")
+    return chunk
+
+
+def _chunk_length(chunk_accesses):
+    return max(1, int(chunk_accesses if chunk_accesses is not None
+                      else default_chunk_accesses()))
+
+
+def _heap_table(name, shape, dtype):
+    return np.empty(shape, dtype=dtype)
+
+
+@contextlib.contextmanager
+def _table_allocator(root=None, prefix="index-spill-"):
+    """An ``allocate(name, shape, dtype)`` for the index builders.
+
+    Without ``root`` tables live on the heap.  With one, each non-empty
+    table is a ``.npy`` memmap in a scratch directory under ``root``
+    (next to the store: ``/tmp`` may be RAM-backed), removed on exit.
+    """
+    if root is None:
+        yield _heap_table
+        return
+    os.makedirs(root, exist_ok=True)
+    spill_dir = tempfile.mkdtemp(prefix=prefix, dir=root)
+
+    def allocate(name, shape, dtype):
+        if not shape[0]:
+            return _heap_table(name, shape, dtype)
+        return np.lib.format.open_memmap(
+            os.path.join(spill_dir, name + ".npy"), mode="w+",
+            dtype=dtype, shape=shape)
+
+    try:
+        yield allocate
+    finally:
+        shutil.rmtree(spill_dir, ignore_errors=True)
+
+
+def _window_runs(window):
+    """A window's stable argsort, cut into runs of equal keys.
+
+    Returns ``(order, run_start, run_count, run_keys)``: run ``r`` is
+    ``order[run_start[r]:run_start[r] + run_count[r]]``, the ascending
+    window offsets holding key ``run_keys[r]`` (sorted, unique).
+    """
+    m = window.shape[0]
+    lowest = int(window.min()) if m else 0
+    if m and (int(window.max()) - lowest + 1) * m <= _INT64_MAX:
+        # Composites (key, offset) are distinct, so an unstable sort of
+        # them is the stable argsort — and numpy's int64 sort is several
+        # times faster than its stable argsort.
+        composite = window - lowest
+        composite *= m
+        composite += np.arange(m, dtype=np.int64)
+        composite.sort()
+        sorted_keys, order = np.divmod(composite, m)
+        sorted_keys += lowest
+    else:
+        order = np.argsort(window, kind="stable")
+        sorted_keys = window[order]
+    is_start = np.empty(m, dtype=bool)
+    is_start[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_start[1:])
+    run_start = np.flatnonzero(is_start)
+    run_count = np.diff(run_start, append=m)
+    return order, run_start, run_count, sorted_keys[run_start]
+
+
+def _scatter_window(window, base, keys, cursors, positions):
+    """Counting-sort scatter of one window of accesses.
+
+    ``window[i]`` is the key of access ``base + i``.  Each access is
+    written into ``positions`` at its key's cursor (``cursors`` is
+    aligned with the sorted ``keys`` table), ascending within a key, and
+    the cursors advance past the window.  Returns the bytes of the
+    temporaries allocated.
+    """
+    order, run_start, run_count, run_keys = _window_runs(window)
+    run_slot = np.searchsorted(keys, run_keys)
+    dest = np.repeat(cursors[run_slot] - run_start, run_count)
+    dest += np.arange(window.shape[0], dtype=np.int64)
+    order += base
+    positions[dest] = order
+    cursors[run_slot] += run_count
+    # At most three window-length arrays are alive at once, plus the
+    # four per-run arrays.
+    return 3 * order.nbytes + 4 * run_start.nbytes
 
 
 def build_index_tables(trace, chunk_accesses=None, allocate=None):
-    """Build the full grouped table set in bounded chunks.
+    """Build an index's table set in bounded chunks.
 
     Scans ``trace.mem_line`` (which may be a memory map) in windows of
-    ``chunk_accesses`` and produces, for both granularities, the same
-    ``positions``/``keys``/``starts`` tables an in-RAM argsort would —
-    *plus* the ``successors`` and ``ranks`` tables the batched
-    watchpoint kernels otherwise build lazily in RAM.  Output arrays
-    come from ``allocate(name, shape, dtype)`` so callers choose where
-    the O(accesses) product lives (heap, or spill-file memmaps); the
-    builder itself only ever materializes O(chunk + unique keys).
+    ``chunk_accesses`` and produces, for both granularities, the
+    ``positions``/``keys``/``starts`` tables of a stable argsort by key,
+    plus line ``successors`` and page ``ranks`` (see
+    :class:`TraceIndex`).  Output arrays come from
+    ``allocate(name, shape, dtype)`` so callers choose where the
+    O(accesses) product lives (heap, or spill-file memmaps); the builder
+    itself only ever materializes O(chunk + unique keys).
 
-    Equivalence to the argsort build: the scatter is a counting sort —
-    chunks are scanned in ascending position order and each chunk's
+    Equivalence to the argsort: the scatter is a counting sort — chunks
+    are scanned in ascending position order and each chunk's
     occurrences are placed in key-run order behind per-key cursors, so
     every run holds its positions ascending, exactly like a stable
     argsort by key.
@@ -310,26 +358,22 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
     """
     build_t0 = time.perf_counter()
     n = int(trace.n_accesses)
-    chunk = max(1, int(chunk_accesses if chunk_accesses is not None
-                       else default_chunk_accesses()))
-    if allocate is None:
-        def allocate(name, shape, dtype):
-            return np.empty(shape, dtype=dtype)
+    chunk = _chunk_length(chunk_accesses)
+    allocate = allocate or _heap_table
     mem_line = trace.mem_line
     peak_transient = 0
-    granularities = ("lines", "pages")
 
     def chunk_keys(lo, hi):
         lines = np.asarray(mem_line[lo:hi], dtype=np.int64)
         return {"lines": lines, "pages": lines >> _PAGE_OF_LINE_SHIFT}
 
     # Pass 1: per-key occurrence counts (merged chunk-by-chunk).
-    keys = {name: np.empty(0, dtype=np.int64) for name in granularities}
-    counts = {name: np.empty(0, dtype=np.int64) for name in granularities}
+    keys = {name: np.empty(0, dtype=np.int64) for name in _GRANULARITIES}
+    counts = {name: np.empty(0, dtype=np.int64) for name in _GRANULARITIES}
     for lo in range(0, n, chunk):
         batch = chunk_keys(lo, min(n, lo + chunk))
         transient = sum(a.nbytes for a in batch.values())
-        for name in granularities:
+        for name in _GRANULARITIES:
             unique, chunk_counts = np.unique(batch[name], return_counts=True)
             merged = np.concatenate((keys[name], unique))
             weights = np.concatenate((counts[name], chunk_counts))
@@ -343,7 +387,7 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
 
     tables = {}
     starts = {}
-    for name in granularities:
+    for name in _GRANULARITIES:
         n_keys = keys[name].shape[0]
         run_starts = np.empty(n_keys + 1, dtype=np.int64)
         run_starts[0] = 0
@@ -355,60 +399,51 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
         start_table[:] = run_starts
         tables[f"{name}_keys"] = key_table
         tables[f"{name}_starts"] = start_table
-        for part in ("positions", "successors", "ranks"):
+        for part in ("positions", _PER_ACCESS[name]):
             tables[f"{name}_{part}"] = allocate(f"{name}_{part}", (n,),
                                                 np.int64)
 
     # Pass 2: counting-sort scatter of positions behind per-key cursors.
-    cursors = {name: starts[name][:-1].copy() for name in granularities}
+    cursors = {name: starts[name][:-1].copy() for name in _GRANULARITIES}
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        batch = chunk_keys(lo, hi)
+        batch = chunk_keys(lo, min(n, lo + chunk))
         transient = sum(a.nbytes for a in batch.values())
-        for name in granularities:
-            chunk_arr = batch[name]
-            slot = np.searchsorted(keys[name], chunk_arr)
-            order = np.argsort(chunk_arr, kind="stable")
-            sorted_slot = slot[order]
-            run_slot, run_start, run_count = np.unique(
-                sorted_slot, return_index=True, return_counts=True)
-            within = (np.arange(hi - lo, dtype=np.int64)
-                      - np.repeat(run_start, run_count))
-            dest = cursors[name][sorted_slot] + within
-            tables[f"{name}_positions"][dest] = (
-                lo + order.astype(np.int64))
-            cursors[name][run_slot] += run_count
-            transient += (slot.nbytes + order.nbytes + sorted_slot.nbytes
-                          + within.nbytes + dest.nbytes)
+        # Each scatter's temporaries are gone before the next begins.
+        transient += max(_scatter_window(batch[name], lo, keys[name],
+                                         cursors[name],
+                                         tables[f"{name}_positions"])
+                         for name in _GRANULARITIES)
         peak_transient = max(peak_transient, transient)
 
-    # Pass 3: successors and ranks from the grouped positions table.
-    for name in granularities:
-        positions = tables[f"{name}_positions"]
-        run_starts = starts[name]
-        successors = tables[f"{name}_successors"]
-        ranks = tables[f"{name}_ranks"]
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            pos = np.asarray(positions[lo:hi], dtype=np.int64)
-            grouped_idx = np.arange(lo, hi, dtype=np.int64)
-            run_of = np.searchsorted(run_starts, grouped_idx,
-                                     side="right") - 1
-            nxt = np.empty(hi - lo, dtype=np.int64)
-            if hi < n:
-                nxt[:] = positions[lo + 1:hi + 1]
-            elif hi - lo:
-                nxt[:-1] = positions[lo + 1:hi]
-                nxt[-1] = -1
-            run_end = run_starts[run_of + 1]
-            succ = np.where(grouped_idx + 1 < run_end, nxt, -1)
-            rank = grouped_idx - run_starts[run_of]
-            successors[pos] = succ
-            ranks[pos] = rank
-            peak_transient = max(
-                peak_transient,
-                pos.nbytes + grouped_idx.nbytes + run_of.nbytes
-                + nxt.nbytes + run_end.nbytes + succ.nbytes + rank.nbytes)
+    # Pass 3: the per-access tables, from the grouped positions.  A
+    # run's successor of entry g is entry g + 1 (-1 at a run end); its
+    # rank is g minus the run start.
+    line_positions = tables["lines_positions"]
+    line_starts = starts["lines"]
+    successors = tables["lines_successors"]
+    page_positions = tables["pages_positions"]
+    page_starts = starts["pages"]
+    ranks = tables["pages_ranks"]
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        pos = np.asarray(line_positions[lo:hi], dtype=np.int64)
+        succ = np.empty(hi - lo, dtype=np.int64)
+        succ[:-1] = pos[1:]
+        succ[-1] = line_positions[hi] if hi < n else -1
+        ends_from, ends_to = np.searchsorted(line_starts, (lo + 1, hi + 1))
+        succ[line_starts[ends_from:ends_to] - 1 - lo] = -1
+        successors[pos] = succ
+
+        pos = np.asarray(page_positions[lo:hi], dtype=np.int64)
+        first = int(np.searchsorted(page_starts, lo, side="right")) - 1
+        last = int(np.searchsorted(page_starts, hi, side="left"))
+        bounds = page_starts[first:last + 1].copy()
+        bounds[0], bounds[-1] = lo, hi
+        rank = np.arange(lo, hi, dtype=np.int64)
+        rank -= np.repeat(page_starts[first:last], np.diff(bounds))
+        ranks[pos] = rank
+        # At most four chunk-length arrays are alive at once.
+        peak_transient = max(peak_transient, 4 * succ.nbytes)
 
     for table in tables.values():
         if isinstance(table, np.memmap):
@@ -420,7 +455,7 @@ def build_index_tables(trace, chunk_accesses=None, allocate=None):
         peak_transient_bytes=int(peak_transient),
         key_state_bytes=int(sum(keys[g].nbytes + counts[g].nbytes
                                 + starts[g].nbytes
-                                for g in granularities)),
+                                for g in _GRANULARITIES)),
         table_bytes=int(sum(t.nbytes for t in tables.values())),
     )
     s = telemetry.session()
@@ -508,11 +543,11 @@ class LiveIndexBuilder:
 
     Generalizes the chunked counting-sort build to an *unbounded* access
     stream: :meth:`append` folds each chunk into merged per-key state
-    (sorted keys, occurrence counts, last-occurrence positions) plus
-    live successor/rank columns, and :meth:`seal` materializes the full
-    grouped table set for the prefix consumed so far — bit-identical to
-    what :func:`build_index_tables` (or the in-RAM argsort) produces on
-    that prefix.
+    (sorted keys, occurrence counts, each line's last position) plus the
+    live per-access columns (line successors, page ranks), and
+    :meth:`seal` materializes the full table set for the prefix consumed
+    so far — bit-identical to what :func:`build_index_tables` produces
+    on that prefix.
 
     Incrementality invariants that make the seal cheap and exact:
 
@@ -534,8 +569,6 @@ class LiveIndexBuilder:
     grows without bound.
     """
 
-    _GRANULARITIES = ("lines", "pages")
-
     def __init__(self, store=None, spill_dir=None):
         self.store = store if store is not None and store.enabled else None
         self.n_accesses = 0
@@ -547,22 +580,17 @@ class LiveIndexBuilder:
             self._scratch = tempfile.mkdtemp(prefix="live-index-",
                                              dir=parent)
             directory = self._scratch
-        self._keys = {}
-        self._counts = {}
-        self._prev_pos = {}
-        self._succ = {}
-        self._rank = {}
-        self._pending = {}
-        for name in self._GRANULARITIES:
-            self._keys[name] = np.empty(0, dtype=np.int64)
-            self._counts[name] = np.empty(0, dtype=np.int64)
-            self._prev_pos[name] = np.empty(0, dtype=np.int64)
-            self._succ[name] = _GrowColumn(directory, name + "_succ")
-            self._rank[name] = _GrowColumn(directory, name + "_rank")
-            self._pending[name] = []
+        self._keys = {name: np.empty(0, dtype=np.int64)
+                      for name in _GRANULARITIES}
+        self._counts = {name: np.empty(0, dtype=np.int64)
+                        for name in _GRANULARITIES}
+        #: Last position of each line key — where its successor lands.
+        self._last_line = np.empty(0, dtype=np.int64)
+        self._per_access = {name: _GrowColumn(directory, f"{name}_{part}")
+                            for name, part in _PER_ACCESS.items()}
+        self._pending = {name: [] for name in _GRANULARITIES}
         #: Per-granularity previous sealed epoch: (keys, starts, positions).
         self._sealed = {}
-        self._sealed_watermark = 0
 
     def append(self, chunk):
         """Fold one feed chunk (a TraceChunk or a raw line array) into
@@ -574,7 +602,7 @@ class LiveIndexBuilder:
             return
         telemetry.counter("live.index.chunks")
         n0 = self.n_accesses
-        for name in self._GRANULARITIES:
+        for name in _GRANULARITIES:
             chunk_arr = (lines if name == "lines"
                          else lines >> _PAGE_OF_LINE_SHIFT)
             self._fold(name, chunk_arr, n0)
@@ -583,53 +611,45 @@ class LiveIndexBuilder:
 
     def _fold(self, name, chunk_arr, n0):
         m = chunk_arr.shape[0]
-        unique, chunk_counts = np.unique(chunk_arr, return_counts=True)
+        order, run_start, run_count, run_keys = _window_runs(chunk_arr)
         keys = self._keys[name]
-        # Merge new keys into the sorted state (counts/prev_pos realign).
-        if keys.shape[0] == 0 or not np.all(np.isin(unique, keys)):
-            merged = np.unique(np.concatenate((keys, unique)))
-            if merged.shape[0] != keys.shape[0]:
-                old_slot = np.searchsorted(merged, keys)
-                counts = np.zeros(merged.shape[0], dtype=np.int64)
-                counts[old_slot] = self._counts[name]
-                prev_pos = np.full(merged.shape[0], -1, dtype=np.int64)
-                prev_pos[old_slot] = self._prev_pos[name]
-                self._keys[name] = keys = merged
-                self._counts[name] = counts
-                self._prev_pos[name] = prev_pos
+        # Merge new keys into the sorted state (per-key arrays realign).
+        if keys.shape[0] == 0 or not np.all(np.isin(run_keys, keys)):
+            merged = np.unique(np.concatenate((keys, run_keys)))
+            old_slot = np.searchsorted(merged, keys)
+            counts = np.zeros(merged.shape[0], dtype=np.int64)
+            counts[old_slot] = self._counts[name]
+            self._counts[name] = counts
+            if name == "lines":
+                last_line = np.full(merged.shape[0], -1, dtype=np.int64)
+                last_line[old_slot] = self._last_line
+                self._last_line = last_line
+            self._keys[name] = keys = merged
         counts = self._counts[name]
-        prev_pos = self._prev_pos[name]
+        run_slot = np.searchsorted(keys, run_keys)
+        column = self._per_access[name]
 
-        slot = np.searchsorted(keys, chunk_arr)
-        order = np.argsort(chunk_arr, kind="stable")
-        sorted_slot = slot[order]
-        run_slot, run_start, run_count = np.unique(
-            sorted_slot, return_index=True, return_counts=True)
-        within = (np.arange(m, dtype=np.int64)
-                  - np.repeat(run_start, run_count))
-
-        # Ranks: prefix count before the chunk + within-chunk rank.
-        rank_chunk = np.empty(m, dtype=np.int64)
-        rank_chunk[order] = counts[sorted_slot] + within
-        self._rank[name].append(rank_chunk)
-
-        # Successors: in-chunk chains now, cross-chunk patched in place.
-        pos_sorted = n0 + order.astype(np.int64)
-        succ_sorted = np.empty(m, dtype=np.int64)
-        if m:
+        if name == "pages":
+            # Ranks: prefix count before the chunk + within-chunk rank.
+            rank = np.empty(m, dtype=np.int64)
+            rank[order] = (np.repeat(counts[run_slot] - run_start, run_count)
+                           + np.arange(m, dtype=np.int64))
+            column.append(rank)
+        else:
+            # Successors: in-chunk chains now, cross-chunk patched in
+            # place.
+            pos_sorted = n0 + order
+            succ_sorted = np.empty(m, dtype=np.int64)
             succ_sorted[:-1] = pos_sorted[1:]
-            succ_sorted[-1] = -1
             succ_sorted[run_start + run_count - 1] = -1
-        succ_chunk = np.empty(m, dtype=np.int64)
-        succ_chunk[order] = succ_sorted
-        self._succ[name].append(succ_chunk)
-        first_pos = pos_sorted[run_start]
-        prev = prev_pos[run_slot]
-        has_prev = prev >= 0
-        if np.any(has_prev):
-            self._succ[name].patch(prev[has_prev], first_pos[has_prev])
-
-        prev_pos[run_slot] = pos_sorted[run_start + run_count - 1]
+            succ = np.empty(m, dtype=np.int64)
+            succ[order] = succ_sorted
+            column.append(succ)
+            prev = self._last_line[run_slot]
+            has_prev = prev >= 0
+            if np.any(has_prev):
+                column.patch(prev[has_prev], pos_sorted[run_start[has_prev]])
+            self._last_line[run_slot] = pos_sorted[run_start + run_count - 1]
         counts[run_slot] += run_count
 
     def seal(self, trace, key=None, label="live-index",
@@ -649,36 +669,22 @@ class LiveIndexBuilder:
             raise ValueError(
                 f"prefix snapshot has {trace.n_accesses} accesses, "
                 f"builder consumed {n}")
-        chunk = max(1, int(chunk_accesses if chunk_accesses is not None
-                           else default_chunk_accesses()))
-        spill_dir = None
-        if self.store is not None and key is not None:
-            spill_dir = tempfile.mkdtemp(prefix="live-seal-",
-                                         dir=self.store.root)
-
-        def allocate(table_name, shape, dtype):
-            if spill_dir is None or not shape[0]:
-                return np.empty(shape, dtype=dtype)
-            return np.lib.format.open_memmap(
-                os.path.join(spill_dir, table_name + ".npy"), mode="w+",
-                dtype=dtype, shape=shape)
-
-        try:
+        chunk = _chunk_length(chunk_accesses)
+        spill_root = (self.store.root
+                      if self.store is not None and key is not None else None)
+        with _table_allocator(spill_root, "live-seal-") as allocate:
             tables = {}
-            for name in self._GRANULARITIES:
-                self._seal_granularity(name, n, chunk, allocate, tables)
+            for name in _GRANULARITIES:
+                tables.update(self._seal_granularity(name, n, chunk,
+                                                     allocate))
             index = self._publish(trace, tables, key, label)
-        finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
-        self._sealed_watermark = n
         s = telemetry.session()
         if s is not None:
             s.add_time("live.index.seal", time.perf_counter() - t0)
             s.count("live.index.seals")
         return index
 
-    def _seal_granularity(self, name, n, chunk, allocate, tables):
+    def _seal_granularity(self, name, n, chunk, allocate):
         keys_now = self._keys[name]
         counts_now = self._counts[name]
         n_keys = keys_now.shape[0]
@@ -710,43 +716,26 @@ class LiveIndexBuilder:
                 dest = new_run_base[run_of] + (idx - pstarts[run_of])
                 positions[dest] = np.asarray(ppositions[lo:hi],
                                              dtype=np.int64)
-        n_prev = int(base_counts.sum())
 
         # Counting-sort scatter of the pending tail behind per-key
         # cursors seeded past the copied runs.
         cursors = starts_now[:-1] + base_counts
-        pend_lo = 0
+        base = int(base_counts.sum())
         for chunk_arr in self._pending[name]:
             for lo in range(0, chunk_arr.shape[0], chunk):
-                hi = min(chunk_arr.shape[0], lo + chunk)
-                window = chunk_arr[lo:hi]
-                slot = np.searchsorted(keys_now, window)
-                order = np.argsort(window, kind="stable")
-                sorted_slot = slot[order]
-                run_slot, run_start, run_count = np.unique(
-                    sorted_slot, return_index=True, return_counts=True)
-                within = (np.arange(hi - lo, dtype=np.int64)
-                          - np.repeat(run_start, run_count))
-                dest = cursors[sorted_slot] + within
-                positions[dest] = (n_prev + pend_lo + lo
-                                   + order.astype(np.int64))
-                cursors[run_slot] += run_count
-            pend_lo += chunk_arr.shape[0]
-        if n_prev + pend_lo != n:
+                _scatter_window(chunk_arr[lo:lo + chunk], base + lo,
+                                keys_now, cursors, positions)
+            base += chunk_arr.shape[0]
+        if base != n:
             raise AssertionError("pending buffer out of sync with feed")
 
-        successors = allocate(f"{name}_successors", (n,), np.int64)
-        ranks = allocate(f"{name}_ranks", (n,), np.int64)
+        part = _PER_ACCESS[name]
+        per_access = allocate(f"{name}_{part}", (n,), np.int64)
+        column = self._per_access[name].view(n)
         for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            successors[lo:hi] = self._succ[name].view(n)[lo:hi]
-            ranks[lo:hi] = self._rank[name].view(n)[lo:hi]
-
-        tables[f"{name}_keys"] = key_table
-        tables[f"{name}_starts"] = start_table
-        tables[f"{name}_positions"] = positions
-        tables[f"{name}_successors"] = successors
-        tables[f"{name}_ranks"] = ranks
+            per_access[lo:lo + chunk] = column[lo:lo + chunk]
+        return {f"{name}_keys": key_table, f"{name}_starts": start_table,
+                f"{name}_positions": positions, f"{name}_{part}": per_access}
 
     def _publish(self, trace, tables, key, label):
         published = None
@@ -761,7 +750,7 @@ class LiveIndexBuilder:
             tables = {name: (np.array(table) if isinstance(table, np.memmap)
                              else table)
                       for name, table in tables.items()}
-        for name in self._GRANULARITIES:
+        for name in _GRANULARITIES:
             self._sealed[name] = (tables[f"{name}_keys"],
                                   tables[f"{name}_starts"],
                                   tables[f"{name}_positions"])
@@ -769,9 +758,8 @@ class LiveIndexBuilder:
         return TraceIndex.from_tables(trace, tables)
 
     def close(self):
-        for name in self._GRANULARITIES:
-            self._succ[name].close()
-            self._rank[name].close()
+        for column in self._per_access.values():
+            column.close()
         self._sealed = {}
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
@@ -785,42 +773,47 @@ class LiveIndexBuilder:
 
 
 class TraceIndex:
-    """Line- and page-granularity position indices for one trace."""
+    """Line- and page-granularity position indices for one trace.
 
-    #: Set by the chunked/spilled constructors (None for argsort builds).
+    Besides the grouped indices (``lines``, ``pages``) it holds the two
+    per-access tables the batched watchpoint kernels read:
+    ``line_successors[p]`` is the next access position of the line
+    accessed at ``p`` (-1 if none), and ``page_ranks[p]`` the number of
+    earlier accesses to the page accessed at ``p``.
+    """
+
+    #: What the builder materialized (None when opened from tables).
     build_stats = None
 
-    def __init__(self, trace):
-        s = telemetry.session()
-        t0 = time.perf_counter() if s is not None else 0.0
+    def __init__(self, trace, chunk_accesses=None):
+        """Build heap-resident tables with :func:`build_index_tables`."""
+        tables, stats = build_index_tables(trace, chunk_accesses)
+        self._adopt(trace, tables)
+        self.build_stats = stats
+
+    def _adopt(self, trace, tables):
         self.trace = trace
-        self.lines = _PositionIndex(trace.mem_line)
-        self.pages = _PositionIndex(trace.mem_page)
-        if s is not None:
-            s.add_time("index.build.argsort", time.perf_counter() - t0)
+        self.lines = _PositionIndex(tables, "lines")
+        self.pages = _PositionIndex(tables, "pages")
+        self.line_successors = _as_int64(tables["lines_successors"])
+        self.page_ranks = _as_int64(tables["pages_ranks"])
 
     def tables(self):
         """Flat array mapping, the form the artifact store persists."""
-        return {**self.lines.tables("lines"), **self.pages.tables("pages")}
+        return {**self.lines.tables("lines"),
+                "lines_successors": self.line_successors,
+                **self.pages.tables("pages"),
+                "pages_ranks": self.page_ranks}
 
     @classmethod
     def from_tables(cls, trace, tables):
-        """Rebuild an index from persisted tables (no argsorts).
+        """Rebuild an index from built or persisted tables (no build).
 
-        ``successors``/``ranks`` entries are optional — legacy
-        position-only artifacts still load, with those tables rebuilt
-        lazily in RAM on first batched query.
+        Extra entries are ignored, so spilled blobs that also carry line
+        ranks and page successors still open.
         """
         index = cls.__new__(cls)
-        index.trace = trace
-        index.lines = _PositionIndex.from_tables(
-            tables["lines_positions"], tables["lines_keys"],
-            tables["lines_starts"], tables.get("lines_successors"),
-            tables.get("lines_ranks"))
-        index.pages = _PositionIndex.from_tables(
-            tables["pages_positions"], tables["pages_keys"],
-            tables["pages_starts"], tables.get("pages_successors"),
-            tables.get("pages_ranks"))
+        index._adopt(trace, tables)
         return index
 
     # -- spill / memory-mapped mode ---------------------------------------
@@ -847,49 +840,32 @@ class TraceIndex:
 
     @classmethod
     def build_chunked(cls, trace, chunk_accesses=None):
-        """Chunked in-RAM build (bounded transients, heap-resident
-        tables) — the store-less fallback of :meth:`build_spilled`."""
-        tables, stats = build_index_tables(trace, chunk_accesses)
-        index = cls.from_tables(trace, tables)
-        index.build_stats = stats
-        return index
+        """Same as ``TraceIndex(trace, chunk_accesses)``."""
+        return cls(trace, chunk_accesses)
 
     @classmethod
     def build_spilled(cls, trace, store, key, chunk_accesses=None):
         """Build (or reopen) a spilled, memory-mapped index.
 
         Tables are constructed chunk-by-chunk into spill files next to
-        the store (same filesystem — ``/tmp`` may be RAM-backed), then
-        streamed into an uncompressed-npz store blob and served back as
-        read-only memory maps.  Peak construction RSS is O(chunk +
-        unique keys), not O(accesses).  Without an enabled store this
-        degrades to :meth:`build_chunked` (bounded transients, tables in
-        RAM).
+        the store, then streamed into an uncompressed-npz store blob and
+        served back as read-only memory maps.  Peak construction RSS is
+        O(chunk + unique keys), not O(accesses).  Without an enabled
+        store this degrades to heap-resident tables.
         """
         existing = cls.open(trace, store, key)
         if existing is not None:
             return existing
         if not store.enabled:
-            return cls.build_chunked(trace, chunk_accesses)
-        os.makedirs(store.root, exist_ok=True)
-        spill_dir = tempfile.mkdtemp(prefix="index-spill-", dir=store.root)
-        try:
-            def allocate(name, shape, dtype):
-                if not shape[0]:
-                    return np.empty(shape, dtype=dtype)
-                return np.lib.format.open_memmap(
-                    os.path.join(spill_dir, name + ".npy"), mode="w+",
-                    dtype=dtype, shape=shape)
-
+            return cls(trace, chunk_accesses)
+        with _table_allocator(store.root) as allocate:
             tables, stats = build_index_tables(trace, chunk_accesses,
                                                allocate)
             store.save_arrays(key, tables, label="trace-index-spill")
             del tables
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
         index = cls.open(trace, store, key)
         if index is None:          # racing gc/clear swept the blob
-            return cls.build_chunked(trace, chunk_accesses)
+            return cls(trace, chunk_accesses)
         index.build_stats = stats
         return index
 
@@ -907,6 +883,8 @@ class TraceIndex:
         """
         self.lines = None
         self.pages = None
+        self.line_successors = None
+        self.page_ranks = None
 
     def page_of_line(self, line):
         """Page number containing ``line``."""
@@ -945,9 +923,9 @@ class TraceIndex:
         stops = np.zeros(n, dtype=np.int64)
         if n == 0:
             return reuse, stops
-        succ = self.lines.successors()[positions]
+        succ = self.line_successors[positions]
         resolved = (succ >= 0) & (succ < access_limit)
-        page_ranks = self.pages.ranks()
+        page_ranks = self.page_ranks
         reuse[resolved] = succ[resolved]
         stops[resolved] = (page_ranks[succ[resolved]]
                            - page_ranks[positions[resolved]])

@@ -1,9 +1,18 @@
 """Tests for the trace position index (the profiling oracle)."""
 
+import tempfile
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.vff.index import TraceIndex
+from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
+from repro.vff.index import (
+    DEFAULT_CHUNK_ACCESSES,
+    TraceIndex,
+    build_index_tables,
+    default_chunk_accesses,
+)
 from tests.test_record import make_trace
 
 
@@ -146,21 +155,55 @@ def test_multi_page_stops_matches_per_window():
                                 [0], [800]).tolist() == [0]
 
 
-# -- chunked / spillable construction ----------------------------------------
+# -- construction ---------------------------------------------------------
 
-def _assert_indices_identical(a, b, context=""):
-    for name, left, right in (("lines", a.lines, b.lines),
-                              ("pages", a.pages, b.pages)):
-        assert np.array_equal(left._positions, right._positions), \
-            (context, name, "positions")
-        assert np.array_equal(left._keys, right._keys), \
-            (context, name, "keys")
-        assert np.array_equal(left._starts, right._starts), \
-            (context, name, "starts")
-        assert np.array_equal(left.successors(), right.successors()), \
-            (context, name, "successors")
-        assert np.array_equal(left.ranks(), right.ranks()), \
-            (context, name, "ranks")
+def argsort_tables(lines):
+    """The oracle: an index's table set from a stable argsort by key.
+
+    Each granularity's grouped positions are the stable argsort of its
+    keys.  A line access's successor is its right neighbour in its run
+    (-1 at a run end); a page access's rank is its offset in its run.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    tables = {}
+    for name, keys in (("lines", lines),
+                       ("pages", lines >> (PAGE_SHIFT - CACHELINE_SHIFT))):
+        order = np.argsort(keys, kind="stable").astype(np.int64)
+        unique, starts = np.unique(keys[order], return_index=True)
+        starts = np.append(starts, n).astype(np.int64)
+        tables[f"{name}_positions"] = order
+        tables[f"{name}_keys"] = unique
+        tables[f"{name}_starts"] = starts
+        per_access = np.empty(n, dtype=np.int64)
+        if name == "lines":
+            succ_sorted = np.full(n, -1, dtype=np.int64)
+            succ_sorted[:-1] = order[1:]
+            succ_sorted[starts[1:] - 1] = -1
+            per_access[order] = succ_sorted
+            tables["lines_successors"] = per_access
+        else:
+            per_access[order] = (np.arange(n, dtype=np.int64)
+                                 - np.repeat(starts[:-1], np.diff(starts)))
+            tables["pages_ranks"] = per_access
+    return tables
+
+
+def _assert_tables_identical(tables, expected, context=""):
+    assert set(tables) == set(expected), (context, sorted(tables))
+    for name, table in expected.items():
+        assert np.array_equal(tables[name], table), (context, name)
+
+
+def test_argsort_oracle_on_a_known_trace():
+    # Lines 0 and 1 share page 0; line 64 is page 1.
+    oracle = argsort_tables([0, 64, 1, 0, 64])
+    assert oracle["lines_positions"].tolist() == [0, 3, 2, 1, 4]
+    assert oracle["lines_keys"].tolist() == [0, 1, 64]
+    assert oracle["lines_starts"].tolist() == [0, 2, 3, 5]
+    assert oracle["lines_successors"].tolist() == [3, 4, -1, -1, -1]
+    assert oracle["pages_positions"].tolist() == [0, 2, 3, 1, 4]
+    assert oracle["pages_ranks"].tolist() == [0, 0, 1, 2, 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -168,45 +211,54 @@ def _assert_indices_identical(a, b, context=""):
        st.integers(1, 64))
 def test_chunked_build_matches_argsort(lines, chunk):
     """The counting-sort scatter is equivalent to the stable argsort."""
-    from repro.vff.index import build_index_tables
-
     lines = np.asarray(lines, dtype=np.int64) * 5    # span several pages
     trace = make_trace(list(range(len(lines))), lines,
                        n_instructions=max(1, len(lines)))
     tables, stats = build_index_tables(trace, chunk_accesses=chunk)
-    _assert_indices_identical(
-        TraceIndex(trace), TraceIndex.from_tables(trace, tables),
-        f"chunk={chunk}")
+    oracle = argsort_tables(lines)
+    _assert_tables_identical(tables, oracle, f"chunk={chunk}")
+    _assert_tables_identical(TraceIndex(trace, chunk).tables(), oracle,
+                             f"TraceIndex chunk={chunk}")
     assert stats.n_accesses == len(lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([0, 3, 1 << 40, (1 << 62) - 1]),
+                max_size=200),
+       st.integers(1, 64))
+def test_chunked_build_matches_argsort_on_wide_keys(lines, chunk):
+    """Keys spread too widely for the composite-key sort take numpy's
+    stable argsort instead, with the same tables."""
+    lines = np.asarray(lines, dtype=np.int64)
+    trace = make_trace(list(range(len(lines))), lines,
+                       n_instructions=max(1, len(lines)))
+    tables, _ = build_index_tables(trace, chunk_accesses=chunk)
+    _assert_tables_identical(tables, argsort_tables(lines),
+                             f"chunk={chunk}")
 
 
 def test_chunked_build_transients_are_bounded():
     """Peak per-chunk RAM stays O(chunk + keys) while tables are O(n)."""
-    from repro.vff.index import build_index_tables
-
     rng = np.random.default_rng(0)
     n = 200_000
     lines = rng.integers(0, 4_000, size=n).astype(np.int64)
     trace = make_trace(list(range(n)), lines, n_instructions=n)
     chunk = 4_096
     tables, stats = build_index_tables(trace, chunk_accesses=chunk)
-    # Six O(n) int64 tables were produced (positions/successors/ranks
-    # at both granularities)...
-    assert stats.table_bytes > 6 * n * 8
+    # Four O(n) int64 tables were produced (positions at both
+    # granularities, line successors, page ranks)...
+    assert 4 * n * 8 < stats.table_bytes < 5 * n * 8
     # ...but no single chunk step materialized more than a small
     # multiple of the chunk length (merge state is O(unique keys)).
     assert stats.peak_transient_bytes < 16 * chunk * 8
     assert stats.peak_transient_bytes < stats.table_bytes / 20
-    _assert_indices_identical(
-        TraceIndex(trace), TraceIndex.from_tables(trace, tables),
-        "bounded")
+    _assert_tables_identical(tables, argsort_tables(lines), "bounded")
 
 
 def test_spilled_index_round_trip(tmp_path):
     """build_spilled publishes once, serves memory-mapped, and answers
-    every query identically to the in-RAM argsort index."""
+    every query identically to the heap-resident index."""
     from repro.store import ArtifactStore
-    from repro.vff.index import build_index_tables
 
     rng = np.random.default_rng(1)
     lines = rng.integers(0, 900, size=30_000).astype(np.int64) * 3
@@ -219,8 +271,11 @@ def test_spilled_index_round_trip(tmp_path):
                                        chunk_accesses=1_000)
     assert spilled.mapped
     assert spilled.build_stats is not None
+    _assert_tables_identical(spilled.tables(), argsort_tables(lines),
+                             "spilled")
+    assert set(store.load_mapped(key)) == set(argsort_tables(lines))
     reference = TraceIndex(trace)
-    _assert_indices_identical(reference, spilled, "spilled")
+    assert not reference.mapped
 
     positions = rng.integers(0, len(lines), size=256)
     limit = len(lines) - 100
@@ -241,14 +296,30 @@ def test_spilled_index_round_trip(tmp_path):
     reopened.close()
     spilled.close()
     assert spilled.lines is None     # closed indices drop their tables
+    assert spilled.line_successors is None
 
-    # Legacy position-only tables still load (lazy successor rebuild).
-    legacy = {name: table for name, table in
-              build_index_tables(trace)[0].items()
-              if "successors" not in name and "ranks" not in name}
-    legacy_index = TraceIndex.from_tables(trace, legacy)
-    assert np.array_equal(legacy_index.lines.successors(),
-                          reference.lines.successors())
+
+def test_from_tables_ignores_retired_tables(tmp_path):
+    """Blobs spilled before the line ranks and page successors were
+    retired carry them as extra members; they still open, and a blob
+    missing a table the queries read does not."""
+    from repro.store import ArtifactStore
+
+    lines = np.arange(2_000, dtype=np.int64) % 97 * 11
+    trace = make_trace(list(range(2_000)), lines, n_instructions=2_000)
+    tables = argsort_tables(lines)
+    legacy = {**tables,
+              "lines_ranks": np.zeros(2_000, dtype=np.int64),
+              "pages_successors": np.zeros(2_000, dtype=np.int64)}
+    store = ArtifactStore(root=tmp_path, enabled=True)
+    key = {"artifact": "trace-index-spill", "trace_fingerprint": "old"}
+    store.save_arrays(key, legacy, label="trace-index-spill")
+    opened = TraceIndex.open(trace, store, key)
+    assert opened.mapped
+    _assert_tables_identical(opened.tables(), tables, "legacy blob")
+    missing = {k: v for k, v in tables.items() if k != "pages_ranks"}
+    with pytest.raises(KeyError):
+        TraceIndex.from_tables(trace, missing)
 
 
 def test_spilled_build_without_store_falls_back_chunked(tmp_path):
@@ -261,4 +332,68 @@ def test_spilled_build_without_store_falls_back_chunked(tmp_path):
                                      chunk_accesses=64)
     assert not index.mapped
     assert index.build_stats is not None
-    _assert_indices_identical(TraceIndex(trace), index, "fallback")
+    _assert_tables_identical(index.tables(), argsort_tables(lines),
+                             "fallback")
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (None, DEFAULT_CHUNK_ACCESSES), ("", DEFAULT_CHUNK_ACCESSES),
+    ("4096", 4096), (" 7 ", 7)])
+def test_index_chunk_env_accepts_positive_integers(monkeypatch, raw,
+                                                   expected):
+    if raw is None:
+        monkeypatch.delenv("REPRO_INDEX_CHUNK", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_INDEX_CHUNK", raw)
+    assert default_chunk_accesses() == expected
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+def test_index_chunk_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_INDEX_CHUNK", raw)
+    with pytest.raises(ValueError, match="REPRO_INDEX_CHUNK"):
+        default_chunk_accesses()
+    trace = make_trace([0, 1], [3, 4], n_instructions=2)
+    with pytest.raises(ValueError, match="REPRO_INDEX_CHUNK"):
+        TraceIndex(trace)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=400),
+       st.data())
+def test_live_seal_equals_batch_build(lines, data):
+    """Every live seal is, table for table, the batch build of its
+    prefix — published through a store (memory-mapped) or kept on the
+    heap."""
+    from repro.store import ArtifactStore
+    from repro.vff.index import LiveIndexBuilder
+
+    lines = np.asarray(lines, dtype=np.int64) * 7
+    n = lines.shape[0]
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), min_size=1,
+                                         max_size=6))) | {n})
+    seals = set(data.draw(st.lists(st.sampled_from(cuts), min_size=2,
+                                   max_size=3)))
+    seal_chunk = data.draw(st.integers(1, 50))
+    for with_store in (False, True):
+        with tempfile.TemporaryDirectory() as root:
+            store = (ArtifactStore(root=root, enabled=True) if with_store
+                     else None)
+            with LiveIndexBuilder(store=store) as builder:
+                fed = 0
+                for cut in cuts:
+                    builder.append(lines[fed:cut])
+                    fed = cut
+                    if cut not in seals:
+                        continue
+                    prefix = make_trace(list(range(cut)), lines[:cut],
+                                        n_instructions=cut)
+                    key = {"artifact": "live-index", "prefix": cut}
+                    index = builder.seal(prefix, key=key,
+                                         chunk_accesses=seal_chunk)
+                    expected, _ = build_index_tables(prefix)
+                    assert index.mapped == with_store
+                    if with_store:
+                        assert set(store.load_mapped(key)) == set(expected)
+                    _assert_tables_identical(index.tables(), expected,
+                                             (with_store, cut))

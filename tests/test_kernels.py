@@ -38,9 +38,11 @@ from repro.trace.engines import (
     UniformWorkingSetEngine,
     WorkingSetComponent,
 )
-from repro.vff.index import TraceIndex, _PositionIndex
+from repro.util.units import CACHELINE_SHIFT, PAGE_SHIFT
+from repro.vff.index import TraceIndex
 from repro.vff.watchpoint import WatchpointEngine
 from tests.conftest import make_small_workload
+from tests.test_record import make_trace
 
 
 def engine_traces(seed, n):
@@ -458,19 +460,20 @@ class TestGapProfileKernel:
 
     def test_successors_and_ranks_brute_force(self):
         for name, lines, _ in engine_traces(seed=71, n=500):
-            index = _PositionIndex(lines)
-            succ = index.successors()
-            ranks = index.ranks()
+            index = TraceIndex(make_trace(np.arange(lines.shape[0]), lines))
+            pages = lines >> (PAGE_SHIFT - CACHELINE_SHIFT)
             last_seen = {}
             seen_count = {}
             expected_succ = np.full(lines.shape[0], -1, dtype=np.int64)
-            for i, line in enumerate(lines.tolist()):
+            for i, (line, page) in enumerate(zip(lines.tolist(),
+                                                 pages.tolist())):
                 if line in last_seen:
                     expected_succ[last_seen[line]] = i
                 last_seen[line] = i
-                assert ranks[i] == seen_count.get(line, 0), name
-                seen_count[line] = seen_count.get(line, 0) + 1
-            assert np.array_equal(succ, expected_succ), name
+                assert index.page_ranks[i] == seen_count.get(page, 0), name
+                seen_count[page] = seen_count.get(page, 0) + 1
+            assert np.array_equal(index.line_successors, expected_succ), \
+                name
 
     def test_batch_await_reuse_matches_scalar(self):
         workload = make_small_workload(seed=12, n_instructions=50_000)
@@ -493,8 +496,8 @@ class TestGapProfileKernel:
         reuse, stops = index.batch_await_reuse(
             np.empty(0, dtype=np.int64), 100)
         assert reuse.size == 0 and stops.size == 0
-        # Indices rebuilt from persisted tables must serve the lazy
-        # successor/rank caches identically.
+        # Indices rebuilt from persisted tables must serve the
+        # successor/rank tables identically.
         rebuilt = TraceIndex.from_tables(workload.trace, index.tables())
         positions = np.arange(0, workload.trace.n_accesses, 97)
         limit = workload.trace.n_accesses // 2

@@ -729,8 +729,8 @@ class TestStreamingExecutionCore:
                                   names=("matrixed",))
         runner = SuiteRunner(config, store=store)
         matrix = runner.run_matrix(("SMARTS", "DeLorean"))
-        assert runner._active_index is not None
-        assert runner._active_index.mapped
+        assert runner._active_context is not None
+        assert runner._active_context.index.mapped
 
         materialized = ImportedWorkload(
             "matrixed", TraceLibrary().path("matrixed"), streaming=False)
@@ -749,6 +749,38 @@ class TestStreamingExecutionCore:
                 maps = handle.read()
             assert "matrixed.trace.npz" not in maps
             assert ".blob" not in maps
+
+    def test_suite_and_standalone_share_one_spilled_index(self, tmp_path,
+                                                          monkeypatch):
+        """A suite run and a standalone context over the same imported
+        trace address its spilled index by one key: the second open
+        maps the suite's blob instead of publishing another."""
+        from repro.core.context import ExecutionContext
+        from repro.traceio import resolve_workload
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "lib"))
+        monkeypatch.setenv("REPRO_INDEX_SPILL", "auto")
+        TraceLibrary().add(make_small_workload(
+            seed=8, n_instructions=30_000, name="shared").trace,
+            name="shared")
+        store = ArtifactStore(root=tmp_path / "store", enabled=True)
+        config = ExperimentConfig(n_instructions=30_000, n_regions=2,
+                                  names=("shared",))
+        runner = SuiteRunner(config, store=store)
+        runner.run_matrix(("SMARTS",))
+        runner.release()
+
+        def spilled_entries():
+            by_label = store.disk.stats()["by_label"]
+            return by_label.get("trace-index-spill", {}).get("entries", 0)
+
+        assert spilled_entries() == 1
+        saves = store.saves
+        context = ExecutionContext(resolve_workload("shared"), store=store)
+        assert context.index.mapped
+        assert store.saves == saves
+        assert spilled_entries() == 1
+        context.release()
 
     def test_release_closes_worker_opened_readers(self, tmp_path,
                                                   monkeypatch):
