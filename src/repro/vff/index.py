@@ -46,8 +46,6 @@ _PAGE_OF_LINE_SHIFT = PAGE_SHIFT - CACHELINE_SHIFT
 
 _GRANULARITIES = ("lines", "pages")
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 #: The per-access table each granularity carries next to its grouped
 #: ``positions``/``keys``/``starts``: the only ones a query reads.
 _PER_ACCESS = {"lines": "successors", "pages": "ranks"}
@@ -293,20 +291,8 @@ def _window_runs(window):
     window offsets holding key ``run_keys[r]`` (sorted, unique).
     """
     m = window.shape[0]
-    lowest = int(window.min()) if m else 0
-    if m and (int(window.max()) - lowest + 1) * m <= _INT64_MAX:
-        # Composites (key, offset) are distinct, so an unstable sort of
-        # them is the stable argsort — and numpy's int64 sort is several
-        # times faster than its stable argsort.
-        composite = window - lowest
-        composite *= m
-        composite += np.arange(m, dtype=np.int64)
-        composite.sort()
-        sorted_keys, order = np.divmod(composite, m)
-        sorted_keys += lowest
-    else:
-        order = np.argsort(window, kind="stable")
-        sorted_keys = window[order]
+    order = np.argsort(window, kind="stable")
+    sorted_keys = window[order]
     is_start = np.empty(m, dtype=bool)
     is_start[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_start[1:])
@@ -602,55 +588,69 @@ class LiveIndexBuilder:
             return
         telemetry.counter("live.index.chunks")
         n0 = self.n_accesses
-        for name in _GRANULARITIES:
-            chunk_arr = (lines if name == "lines"
-                         else lines >> _PAGE_OF_LINE_SHIFT)
-            self._fold(name, chunk_arr, n0)
-            self._pending[name].append(chunk_arr.copy())
+        pages = lines >> _PAGE_OF_LINE_SHIFT
+        self._fold_lines(lines, n0)
+        self._fold_pages(pages)
+        self._pending["lines"].append(lines.copy())
+        self._pending["pages"].append(pages)
         self.n_accesses = n0 + m
 
-    def _fold(self, name, chunk_arr, n0):
-        m = chunk_arr.shape[0]
-        order, run_start, run_count, run_keys = _window_runs(chunk_arr)
+    def _merge_runs(self, name, run_keys, run_count):
+        """Fold one chunk's key runs into ``name``'s sorted key/count
+        state.
+
+        Returns ``(run_slot, prior, old_slot)``: each run's slot in the
+        (possibly grown) key table, its key's count before the chunk,
+        and where the previous keys moved — None when no key was new, so
+        other per-key state needs no realignment.
+        """
         keys = self._keys[name]
-        # Merge new keys into the sorted state (per-key arrays realign).
+        old_slot = None
         if keys.shape[0] == 0 or not np.all(np.isin(run_keys, keys)):
             merged = np.unique(np.concatenate((keys, run_keys)))
             old_slot = np.searchsorted(merged, keys)
             counts = np.zeros(merged.shape[0], dtype=np.int64)
             counts[old_slot] = self._counts[name]
-            self._counts[name] = counts
-            if name == "lines":
-                last_line = np.full(merged.shape[0], -1, dtype=np.int64)
-                last_line[old_slot] = self._last_line
-                self._last_line = last_line
-            self._keys[name] = keys = merged
-        counts = self._counts[name]
-        run_slot = np.searchsorted(keys, run_keys)
-        column = self._per_access[name]
+            self._keys[name], self._counts[name] = merged, counts
+        run_slot = np.searchsorted(self._keys[name], run_keys)
+        prior = self._counts[name][run_slot]
+        self._counts[name][run_slot] += run_count
+        return run_slot, prior, old_slot
 
-        if name == "pages":
-            # Ranks: prefix count before the chunk + within-chunk rank.
-            rank = np.empty(m, dtype=np.int64)
-            rank[order] = (np.repeat(counts[run_slot] - run_start, run_count)
-                           + np.arange(m, dtype=np.int64))
-            column.append(rank)
-        else:
-            # Successors: in-chunk chains now, cross-chunk patched in
-            # place.
-            pos_sorted = n0 + order
-            succ_sorted = np.empty(m, dtype=np.int64)
-            succ_sorted[:-1] = pos_sorted[1:]
-            succ_sorted[run_start + run_count - 1] = -1
-            succ = np.empty(m, dtype=np.int64)
-            succ[order] = succ_sorted
-            column.append(succ)
-            prev = self._last_line[run_slot]
-            has_prev = prev >= 0
-            if np.any(has_prev):
-                column.patch(prev[has_prev], pos_sorted[run_start[has_prev]])
-            self._last_line[run_slot] = pos_sorted[run_start + run_count - 1]
-        counts[run_slot] += run_count
+    def _fold_lines(self, lines, n0):
+        """Successors: in-chunk chains now, cross-chunk patched in place."""
+        m = lines.shape[0]
+        order, run_start, run_count, run_keys = _window_runs(lines)
+        run_slot, _, old_slot = self._merge_runs("lines", run_keys,
+                                                 run_count)
+        if old_slot is not None:
+            last_line = np.full(self._keys["lines"].shape[0], -1,
+                                dtype=np.int64)
+            last_line[old_slot] = self._last_line
+            self._last_line = last_line
+        pos_sorted = n0 + order
+        succ_sorted = np.empty(m, dtype=np.int64)
+        succ_sorted[:-1] = pos_sorted[1:]
+        succ_sorted[run_start + run_count - 1] = -1
+        succ = np.empty(m, dtype=np.int64)
+        succ[order] = succ_sorted
+        column = self._per_access["lines"]
+        column.append(succ)
+        prev = self._last_line[run_slot]
+        has_prev = prev >= 0
+        if np.any(has_prev):
+            column.patch(prev[has_prev], pos_sorted[run_start[has_prev]])
+        self._last_line[run_slot] = pos_sorted[run_start + run_count - 1]
+
+    def _fold_pages(self, pages):
+        """Ranks: prefix count before the chunk + within-chunk rank."""
+        m = pages.shape[0]
+        order, run_start, run_count, run_keys = _window_runs(pages)
+        _, prior, _ = self._merge_runs("pages", run_keys, run_count)
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = (np.repeat(prior - run_start, run_count)
+                       + np.arange(m, dtype=np.int64))
+        self._per_access["pages"].append(rank)
 
     def seal(self, trace, key=None, label="live-index",
              chunk_accesses=None):

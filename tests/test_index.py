@@ -222,21 +222,6 @@ def test_chunked_build_matches_argsort(lines, chunk):
     assert stats.n_accesses == len(lines)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from([0, 3, 1 << 40, (1 << 62) - 1]),
-                max_size=200),
-       st.integers(1, 64))
-def test_chunked_build_matches_argsort_on_wide_keys(lines, chunk):
-    """Keys spread too widely for the composite-key sort take numpy's
-    stable argsort instead, with the same tables."""
-    lines = np.asarray(lines, dtype=np.int64)
-    trace = make_trace(list(range(len(lines))), lines,
-                       n_instructions=max(1, len(lines)))
-    tables, _ = build_index_tables(trace, chunk_accesses=chunk)
-    _assert_tables_identical(tables, argsort_tables(lines),
-                             f"chunk={chunk}")
-
-
 def test_chunked_build_transients_are_bounded():
     """Peak per-chunk RAM stays O(chunk + keys) while tables are O(n)."""
     rng = np.random.default_rng(0)
