@@ -83,31 +83,36 @@ class VicinitySampler:
         # dropped, or they would inflate the distribution's cold tail and
         # push borderline stack distances over the capacity threshold.
         censor_horizon = (access_lo + access_limit) // 2
+        cap = self.max_stops_per_watchpoint
         projected_stops = 0.0
         if kernels.get_backend() != "scalar":
             # One batched pass resolves every vicinity watchpoint's
             # reuse and stop count (identical values to the per-sample
-            # binary searches); the cheap per-sample histogram
-            # bookkeeping below stays sequential, preserving the
-            # observation order bit-for-bit.
+            # binary searches), and the samples are recorded in batch:
+            # unit-weight histogram counts are order-free, while the
+            # stops are summed strictly left to right like the scalar
+            # loop.
             reuses, stop_counts = machine.watchpoints.await_next_reuse_many(
                 positions, access_limit)
-            resolutions = zip(positions.tolist(), reuses.tolist(),
-                              stop_counts.tolist())
+            found = reuses >= 0
+            projected_stops = float(np.cumsum(np.where(
+                found, np.minimum(stop_counts, cap),
+                np.minimum(stop_counts * scale * self.footprint_scale,
+                           cap)))[-1])
+            histogram.add_many(np.where(found, reuses - positions - 1, -1)[
+                found | (positions <= censor_horizon)])
         else:
-            resolutions = (
-                (pos, *machine.watchpoints.await_next_reuse(
-                    int(trace.mem_line[pos]), pos, access_limit))
-                for pos in positions.tolist())
-        for pos, reuse_pos, stops in resolutions:
-            if reuse_pos >= 0:
-                histogram.add(reuse_pos - pos - 1)
-                projected_stops += min(stops, self.max_stops_per_watchpoint)
-            else:
-                if pos <= censor_horizon:
-                    histogram.add_cold()
-                projected_stops += min(stops * scale * self.footprint_scale,
-                                       self.max_stops_per_watchpoint)
+            for pos in positions.tolist():
+                reuse_pos, stops = machine.watchpoints.await_next_reuse(
+                    int(trace.mem_line[pos]), pos, access_limit)
+                if reuse_pos >= 0:
+                    histogram.add(reuse_pos - pos - 1)
+                    projected_stops += min(stops, cap)
+                else:
+                    if pos <= censor_horizon:
+                        histogram.add_cold()
+                    projected_stops += min(
+                        stops * scale * self.footprint_scale, cap)
         machine.meter.watchpoint_setups(paper_samples, scaled=False)
         machine.meter.watchpoint_stops(
             projected_stops * per_sample_weight, scaled=False)

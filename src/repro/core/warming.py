@@ -13,6 +13,8 @@ exact reuse distance of the very line being accessed — this is where the
 accuracy gain of Figures 9/10 comes from.
 """
 
+import numpy as np
+
 from repro.caches.stats import HIT_WARMING, MISS_CAPACITY, MISS_COLD
 from repro.statmodel.statstack import StatStack
 
@@ -25,31 +27,38 @@ class DirectedCapacityPredictor:
     """Capacity/cold decision from key reuse distances + vicinity model."""
 
     def __init__(self, key_reuse_distances, vicinity_histogram):
-        self.key_reuse_distances = dict(key_reuse_distances)
+        distances = dict(key_reuse_distances)
         self.vicinity_histogram = vicinity_histogram
         self.statstack = StatStack(vicinity_histogram)
+        # Every key line's expected stack distance, from one vectorized
+        # StatStack query; None marks a cold line.
+        stack_distances = self.statstack.stack_distance(np.fromiter(
+            distances.values(), dtype=np.float64,
+            count=len(distances))).tolist()
+        self._stack_distances = {
+            line: None if distance == COLD_DISTANCE else stack_distance
+            for (line, distance), stack_distance in zip(distances.items(),
+                                                        stack_distances)}
         self.lookups = 0
         self.unknown_lines = 0
 
     def __call__(self, pc, line, effective_llc_lines):
         self.lookups += 1
-        distance = self.key_reuse_distances.get(int(line))
-        if distance is None:
+        line = int(line)
+        if line not in self._stack_distances:
             # Not a key line: can only happen for lines first touched by
             # the region *after* the Scout snapshot (never, in this
             # trace-driven setting) — treat conservatively as cold.
             self.unknown_lines += 1
             return MISS_COLD
-        if distance == COLD_DISTANCE:
+        stack_distance = self._stack_distances[line]
+        if stack_distance is None:
             return MISS_COLD
-        stack_distance = self.statstack.stack_distance(distance)
         if stack_distance >= effective_llc_lines:
             return MISS_CAPACITY
         return HIT_WARMING
 
     def predicted_stack_distance(self, line):
         """Expected stack distance for a key line (inf if cold/unknown)."""
-        distance = self.key_reuse_distances.get(int(line), COLD_DISTANCE)
-        if distance == COLD_DISTANCE:
-            return float("inf")
-        return float(self.statstack.stack_distance(distance))
+        stack_distance = self._stack_distances.get(int(line))
+        return float("inf") if stack_distance is None else stack_distance

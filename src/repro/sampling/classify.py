@@ -18,15 +18,22 @@ The capacity predictor is the only piece that differs between CoolSim
 distance + vicinity StatStack); it is injected as a callable.
 
 Classification dispatches on the kernel backend.  The vector path
-pre-computes the L1 hit mask and the LLC hit/occupancy stream with the
-batch LRU kernel and drops to per-access Python only for the residual
-accesses that reach MSHR / stride-detector / predictor state.  The one
-sequential wrinkle is an MSHR hit, which *skips* the LLC fetch the
+batches everything that does not depend on outcomes: the L1 hit mask
+and the LLC hit/occupancy stream come from the batch LRU kernel, and one
+:meth:`~repro.statmodel.assoc.StrideDetector.dominant_strides` query
+observes the whole region and yields each L1-miss access's effective
+(stride-limited) capacity as of that access.  Per-access Python is left
+with the residual accesses that miss the lukewarm LLC, and only with the
+state that is sequential by nature: the MSHR lookup and allocation, the
+set-full check, the capacity predictor (CoolSim's Bernoulli draws
+consume one RNG stream in access order) and outcome bookkeeping.  The
+one sequential wrinkle is an MSHR hit, which *skips* the LLC fetch the
 kernel assumed: the kernel run is valid up to that access, so the LLC
-state is rolled back, the accepted prefix replayed, and the stream
-resumed after the skipped access.  MSHR hits require a line to be
-evicted within its own miss window, so in practice this costs nothing —
-and the scalar path remains bit-identical and selectable by flag.
+sets the block maps to are rolled back, the accepted prefix replayed,
+and the stream resumed after the skipped access.  MSHR hits require a
+line to be evicted within its own miss window, so in practice this
+costs nothing — and the scalar path remains the bit-identical reference,
+selectable by flag.
 """
 
 import time
@@ -46,6 +53,7 @@ from repro.caches.stats import (
     MISS_COLD,
     MISS_CONFLICT,
 )
+from repro.statmodel.assoc import effective_cache_lines_many
 
 
 @dataclass
@@ -207,9 +215,16 @@ class WarmingClassifier:
         # Phase 2: the LLC sees the L1-miss substream (hits update
         # recency, classified misses fetch) *except* MSHR hits.
         candidates = np.flatnonzero(~l1_mask)
+        # Strides depend on the access stream alone, never on outcomes:
+        # one pass observes the region and yields every candidate's
+        # effective capacity as of its own access.
+        strides = (np.zeros(candidates.shape[0], dtype=np.int64)
+                   if detector is None
+                   else detector.dominant_strides(pcs, lines, candidates))
+        effective = effective_cache_lines_many(
+            llc_lines_total, n_sets, strides).tolist()
         llc_hit_positions = []
         warming_positions = []
-        observed_upto = 0                   # stride observations fed so far
         lines_list = lines.tolist()
         pcs_list = pcs.tolist()
         instr_list = instr_offsets.tolist()
@@ -217,7 +232,10 @@ class WarmingClassifier:
         start = 0
         while start < candidates.shape[0]:
             block = candidates[start:]
-            saved_sets = [list(s) for s in llc._sets]
+            # warm_profile touches only the sets the block maps to.
+            saved_sets = {
+                idx: list(llc._sets[idx])
+                for idx in np.unique(lines[block] & llc._mask).tolist()}
             saved_hits, saved_misses = llc.hits, llc.misses
             _, block_mask, block_occ = llc.warm_profile(lines[block])
 
@@ -227,13 +245,7 @@ class WarmingClassifier:
             for k in np.flatnonzero(~block_mask).tolist():
                 position = int(block[k])
                 line = lines_list[position]
-                pc = pcs_list[position]
                 instr = instr_list[position]
-                if detector is not None:
-                    detector.observe_many(
-                        pcs[observed_upto:position + 1],
-                        lines[observed_upto:position + 1])
-                    observed_upto = position + 1
                 if self.mshr.lookup(line, position):
                     result.stats.record(HIT_MSHR)
                     result.outcomes.append(HIT_MSHR)
@@ -241,8 +253,9 @@ class WarmingClassifier:
                     mshr_break = k
                     break
                 outcome = self._beyond_lukewarm(
-                    line, pc, llc_lines_total, n_sets,
-                    set_full=block_occ[k] >= llc_assoc)
+                    line, pcs_list[position], llc_lines_total, n_sets,
+                    set_full=block_occ[k] >= llc_assoc,
+                    effective_lines=effective[start + k])
                 result.stats.record(outcome)
                 result.outcomes.append(outcome)
                 result.outcome_instr.append(instr)
@@ -258,16 +271,13 @@ class WarmingClassifier:
                 # The access at the break skipped the LLC; everything
                 # before it went through as assumed.  Roll back, replay
                 # the accepted prefix, resume after the skipped access.
-                for idx, entries in enumerate(saved_sets):
+                for idx, entries in saved_sets.items():
                     llc._sets[idx] = entries
                 llc.hits, llc.misses = saved_hits, saved_misses
                 accepted = block[:mshr_break]
                 _, accepted_mask, _ = llc.warm_profile(lines[accepted])
                 llc_hit_positions.append(accepted[accepted_mask])
                 start += mshr_break + 1
-
-        if detector is not None and observed_upto < n:
-            detector.observe_many(pcs[observed_upto:], lines[observed_upto:])
 
         # Lukewarm hits: every L1 hit plus every LLC-resident access.
         llc_hit_positions = (np.concatenate(llc_hit_positions)
@@ -282,17 +292,19 @@ class WarmingClassifier:
             instr_offsets[hit_instr].tolist())
         return result
 
-    def _beyond_lukewarm(self, line, pc, llc_lines, n_sets, set_full=None):
+    def _beyond_lukewarm(self, line, pc, llc_lines, n_sets, set_full=None,
+                         effective_lines=None):
         # Conflict: the referenced set is full in the lukewarm cache.
         if set_full is None:
             set_full = self.lukewarm.llc.set_is_full(line)
         if set_full:
             return MISS_CONFLICT
 
-        effective_lines = llc_lines
-        if self.stride_detector is not None:
-            effective_lines = self.stride_detector.effective_lines_for(
-                pc, llc_lines, n_sets)
+        if effective_lines is None:
+            effective_lines = llc_lines
+            if self.stride_detector is not None:
+                effective_lines = self.stride_detector.effective_lines_for(
+                    pc, llc_lines, n_sets)
 
         outcome = self.capacity_predictor(pc, line, effective_lines)
         if outcome == MISS_CAPACITY and effective_lines < llc_lines:

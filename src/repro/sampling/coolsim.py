@@ -98,6 +98,12 @@ class CoolSim(StrategyBase):
         footprint = footprint_scale
         sample_weight = scale / self.density_boost  # paper samples per model sample
 
+        # A watchpoint still pending at the region boundary is only
+        # evidence of a *long* reuse if it was set early; late samples
+        # are censored by the boundary and recording them as cold would
+        # inflate the fallback distribution's miss tail.
+        gap_mid = (spec.warmup_start + spec.region_start) // 2
+        cap = self.max_stops_per_watchpoint
         collected = 0
         projected_stops = 0.0
         segment_start = spec.warmup_start
@@ -114,42 +120,47 @@ class CoolSim(StrategyBase):
                 if kernels.get_backend() != "scalar":
                     # One batched pass resolves every watchpoint's reuse
                     # and stop count (identical values to the per-sample
-                    # binary searches); only the cheap per-sample
-                    # bookkeeping below stays sequential, preserving the
-                    # stats/stride observation order bit-for-bit.
+                    # binary searches), and the segment's samples are
+                    # recorded in batch: the models are order-free per
+                    # PC and the stride detector's batch update equals
+                    # the per-sample one, while the stops are summed
+                    # strictly left to right like the scalar loop.
                     reuses, stop_counts = (
                         machine.watchpoints.await_next_reuse_many(
                             positions, region_access_lo))
-                    resolutions = zip(positions.tolist(), reuses.tolist(),
-                                      stop_counts.tolist())
+                    found = reuses >= 0
+                    projected_stops = float(np.cumsum(np.concatenate((
+                        [projected_stops],
+                        np.where(found, np.minimum(stop_counts, cap),
+                                 np.minimum(stop_counts * scale * footprint,
+                                            cap)))))[-1])
+                    reuse_at = reuses[found]
+                    kept = found | (trace.mem_instr[positions] < gap_mid)
+                    stats.add_many(
+                        trace.mem_pc[np.where(found, reuses, positions)][kept],
+                        np.where(found, reuses - positions - 1, -1)[kept])
+                    stride_detector.observe_many(trace.mem_pc[reuse_at],
+                                                 trace.mem_line[reuse_at])
+                    collected += n_samples
                 else:
-                    resolutions = (
-                        (pos, *machine.watchpoints.await_next_reuse(
-                            int(trace.mem_line[pos]), pos, region_access_lo))
-                        for pos in positions.tolist())
-                for pos, reuse_pos, stops in resolutions:
-                    if reuse_pos >= 0:
-                        projected_stops += min(
-                            stops, self.max_stops_per_watchpoint)
-                        distance = reuse_pos - pos - 1
-                        pc = int(trace.mem_pc[reuse_pos])
-                        stats.add(pc, distance)
-                        stride_detector.observe(pc, int(
-                            trace.mem_line[reuse_pos]))
-                    else:
-                        projected_stops += min(
-                            stops * scale * footprint,
-                            self.max_stops_per_watchpoint)
-                        # A watchpoint still pending at the region boundary
-                        # is only evidence of a *long* reuse if it was set
-                        # early; late samples are censored by the boundary
-                        # and recording them as cold would inflate the
-                        # fallback distribution's miss tail.
-                        gap_mid = (spec.warmup_start
-                                   + spec.region_start) // 2
-                        if trace.mem_instr[pos] < gap_mid:
-                            stats.add(int(trace.mem_pc[pos]), -1)
-                    collected += 1
+                    for pos in positions.tolist():
+                        reuse_pos, stops = (
+                            machine.watchpoints.await_next_reuse(
+                                int(trace.mem_line[pos]), pos,
+                                region_access_lo))
+                        if reuse_pos >= 0:
+                            projected_stops += min(stops, cap)
+                            distance = reuse_pos - pos - 1
+                            pc = int(trace.mem_pc[reuse_pos])
+                            stats.add(pc, distance)
+                            stride_detector.observe(pc, int(
+                                trace.mem_line[reuse_pos]))
+                        else:
+                            projected_stops += min(
+                                stops * scale * footprint, cap)
+                            if trace.mem_instr[pos] < gap_mid:
+                                stats.add(int(trace.mem_pc[pos]), -1)
+                        collected += 1
             segment_start = segment_end
         machine.meter.watchpoint_setups(
             collected * sample_weight, scaled=False)

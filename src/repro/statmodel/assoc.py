@@ -30,6 +30,15 @@ def effective_cache_lines(cache_lines, n_sets, stride_lines):
     return touched * assoc
 
 
+def effective_cache_lines_many(cache_lines, n_sets, strides):
+    """:func:`effective_cache_lines` over an array of strides, where a
+    stride of 0 (no dominant stride) keeps the full capacity."""
+    strides = np.asarray(strides, dtype=np.int64)
+    touched = n_sets // np.gcd(strides, n_sets)
+    return np.where(strides > 0, touched * (cache_lines // n_sets),
+                    cache_lines)
+
+
 class StrideDetector:
     """Detect a dominant stride per load PC from sampled line addresses.
 
@@ -66,42 +75,127 @@ class StrideDetector:
     _VECTOR_MIN = 64
 
     def observe_many(self, pcs, lines):
-        """Vector version of :meth:`observe` (same result, batched).
-
-        Groups the batch by PC and computes each PC's line deltas in one
-        shot.  Because only the most recent ``max_history`` non-zero
-        deltas survive, trimming once at the end is equivalent to the
-        per-access update.
-        """
+        """Vector version of :meth:`observe` (same result, batched):
+        :meth:`dominant_strides` with no queries."""
         pcs = np.asarray(pcs)
         lines = np.asarray(lines)
         if pcs.shape[0] < self._VECTOR_MIN:
             for pc, line in zip(pcs.tolist(), lines.tolist()):
                 self.observe(pc, line)
             return
+        self.dominant_strides(pcs, lines, ())
+
+    #: Queries per window matrix in :meth:`dominant_strides`; bounds its
+    #: transients to a few ``_QUERY_CHUNK x max_history`` int64 arrays.
+    _QUERY_CHUNK = 1024
+
+    def dominant_strides(self, pcs, lines, at):
+        """Observe a batch and answer dominant-stride queries inside it.
+
+        Equivalent to calling :meth:`observe` on every ``(pcs[i],
+        lines[i])`` in order and reading ``dominant_stride(pcs[q])``
+        just after observing position ``q``, for each ``q`` in ``at``;
+        the result holds that stride, or 0 where it is None.  The state
+        left behind is the per-access state: only the most recent
+        ``max_history`` non-zero deltas survive, so one trim per PC at
+        the end is equivalent.
+
+        Each PC's non-zero deltas (carried history first) form one
+        segment of a flat pool, so the history after observing access
+        ``i`` is the pool slice ending at ``i``'s cumulative delta count,
+        at most ``max_history`` long.  Queries gather those slices into a
+        row-sorted matrix whose longest run is the dominant delta; ties
+        go to the smallest delta, like ``np.unique`` + ``argmax``.
+        """
+        pcs = np.asarray(pcs, dtype=np.int64)
+        lines = np.asarray(lines, dtype=np.int64)
+        at = np.asarray(at, dtype=np.int64)
+        strides = np.zeros(at.shape[0], dtype=np.int64)
+        n = pcs.shape[0]
+        if n == 0:
+            return strides
         order = np.argsort(pcs, kind="stable")
         sorted_pcs = pcs[order]
         sorted_lines = lines[order]
-        group_starts = np.concatenate(
-            ([0], np.flatnonzero(sorted_pcs[1:] != sorted_pcs[:-1]) + 1,
-             [sorted_pcs.shape[0]]))
-        for g in range(group_starts.shape[0] - 1):
-            lo, hi = int(group_starts[g]), int(group_starts[g + 1])
-            pc = int(sorted_pcs[lo])
-            seg = sorted_lines[lo:hi]
-            last = self._last_line.get(pc)
-            if last is None:
-                deltas = np.diff(seg)
-            else:
-                deltas = np.diff(np.concatenate(([last], seg)))
-            self._last_line[pc] = int(seg[-1])
-            deltas = deltas[deltas != 0]
-            if deltas.shape[0] == 0:
-                continue
-            history = self._deltas.setdefault(pc, [])
-            history.extend(deltas[-self.max_history:].tolist())
-            if len(history) > self.max_history:
-                del history[:len(history) - self.max_history]
+        is_start = np.empty(n, dtype=bool)
+        is_start[0] = True
+        np.not_equal(sorted_pcs[1:], sorted_pcs[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        group = np.cumsum(is_start) - 1
+        group_pcs = sorted_pcs[starts].tolist()
+
+        # Line deltas in observation order per PC; a PC seen for the
+        # first time contributes no delta.
+        previous = np.empty(n, dtype=np.int64)
+        previous[1:] = sorted_lines[:-1]
+        first_lines = sorted_lines[starts].tolist()
+        previous[starts] = [self._last_line.get(pc, line)
+                            for pc, line in zip(group_pcs, first_lines)]
+        deltas = sorted_lines - previous
+        nonzero = deltas != 0
+
+        priors = [self._deltas.get(pc, ()) for pc in group_pcs]
+        prior_len = np.fromiter(map(len, priors), dtype=np.int64,
+                                count=len(priors))
+        new_len = np.add.reduceat(nonzero.astype(np.int64), starts)
+        seg_len = prior_len + new_len
+        seg_lo = np.cumsum(seg_len) - seg_len
+        pool = np.empty(int(seg_len.sum()), dtype=np.int64)
+        n_prior = int(prior_len.sum())
+        if n_prior:
+            flat_lo = np.cumsum(prior_len) - prior_len
+            pool[np.repeat(seg_lo - flat_lo, prior_len)
+                 + np.arange(n_prior)] = [d for p in priors for d in p]
+        counted = np.cumsum(nonzero)
+        counted -= np.repeat(counted[starts] - nonzero[starts],
+                             np.diff(np.append(starts, n)))
+        history_hi = (seg_lo + prior_len)[group] + counted
+        pool[history_hi[nonzero] - 1] = deltas[nonzero]
+
+        if pool.shape[0]:
+            sorted_position = np.empty(n, dtype=np.int64)
+            sorted_position[order] = np.arange(n)
+            self._answer_strides(pool, seg_lo[group], history_hi,
+                                 sorted_position[at], strides)
+
+        history = self.max_history
+        seg_hi = (seg_lo + seg_len).tolist()
+        last_lines = sorted_lines[np.append(starts[1:], n) - 1].tolist()
+        for g, pc in enumerate(group_pcs):
+            self._last_line[pc] = last_lines[g]
+            if new_len[g]:
+                hi = seg_hi[g]
+                self._deltas[pc] = pool[
+                    max(hi - history, int(seg_lo[g])):hi].tolist()
+        return strides
+
+    def _answer_strides(self, pool, history_lo, history_hi, sorted_at,
+                        out):
+        """Fill ``out`` with the dominant stride of each queried access's
+        history ``pool[max(lo, hi - max_history):hi]`` (0 for none)."""
+        width = self.max_history
+        columns = np.arange(width)
+        for c in range(0, sorted_at.shape[0], self._QUERY_CHUNK):
+            query = sorted_at[c:c + self._QUERY_CHUNK]
+            hi = history_hi[query]
+            take = (hi - width)[:, None] + columns
+            valid = take >= history_lo[query][:, None]
+            # 0 marks an empty slot: every recorded delta is non-zero.
+            window = np.where(valid, np.abs(pool[np.maximum(take, 0)]), 0)
+            window.sort(axis=1)
+            run_start = np.zeros(window.shape, dtype=np.int64)
+            run_start[:, 1:] = np.where(
+                window[:, 1:] != window[:, :-1], columns[1:], 0)
+            np.maximum.accumulate(run_start, axis=1, out=run_start)
+            run_len = np.where(window != 0, columns - run_start + 1, 0)
+            best = np.argmax(run_len, axis=1)
+            rows = np.arange(query.shape[0])
+            count = run_len[rows, best]
+            length = valid.sum(axis=1)
+            stride = window[rows, best]
+            dominant = ((length >= 4) & (stride > 1)
+                        & ~(count / np.maximum(length, 1) < self.threshold))
+            out[c:c + query.shape[0]] = np.where(dominant, stride, 0)
 
     def dominant_stride(self, pc):
         """Dominant line stride of ``pc``, or None.

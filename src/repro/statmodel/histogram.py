@@ -18,6 +18,10 @@ class ReuseHistogram:
         self._dirty = True
         self._distances = None
         self._weights = None
+        #: Finite mass and ``[0, cumsum(weights)]``, kept with the
+        #: materialized arrays.
+        self._finite = 0.0
+        self._cumulative = None
 
     # -- construction -------------------------------------------------------
 
@@ -91,20 +95,23 @@ class ReuseHistogram:
             else:
                 self._distances = np.empty(0, dtype=np.int64)
                 self._weights = np.empty(0, dtype=np.float64)
+            self._finite = float(self._weights.sum())
+            self._cumulative = np.concatenate(
+                ([0.0], np.cumsum(self._weights)))
             self._dirty = False
         return self._distances, self._weights
 
     @property
     def total(self):
         """Total sample mass including cold samples."""
-        _, weights = self._materialize()
-        return float(weights.sum()) + self.cold
+        self._materialize()
+        return self._finite + self.cold
 
     @property
     def n_finite(self):
         """Total finite-reuse mass."""
-        _, weights = self._materialize()
-        return float(weights.sum())
+        self._materialize()
+        return self._finite
 
     def distances(self):
         """Sorted unique finite distances and their weights (copies)."""
@@ -116,13 +123,12 @@ class ReuseHistogram:
 
         Infinite (cold) mass is always part of the tail.
         """
-        distances, weights = self._materialize()
-        total = float(weights.sum()) + self.cold
+        distances, _ = self._materialize()
+        total = self._finite + self.cold
         if total == 0:
             return np.zeros_like(np.asarray(k, dtype=np.float64))
-        cum = np.concatenate(([0.0], np.cumsum(weights)))
         idx = np.searchsorted(distances, np.asarray(k), side="right")
-        tail = (float(weights.sum()) - cum[idx]) + self.cold
+        tail = (self._finite - self._cumulative[idx]) + self.cold
         return tail / total
 
     def quantile(self, q):

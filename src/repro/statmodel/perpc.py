@@ -9,6 +9,8 @@ sparse for PC-rich programs (soplex) — the source of CoolSim's
 mispredictions in Figures 9 and 10.
 """
 
+import numpy as np
+
 from repro.statmodel.histogram import ReuseHistogram
 from repro.statmodel.statstack import StatStack
 
@@ -21,13 +23,18 @@ class PerPCReuseStats:
         self._by_pc = {}
         self.global_histogram = ReuseHistogram()
         self._models = None
+        #: ``rd*`` per cache size under the current conversion model.
+        self._r_star = {}
 
-    def add(self, pc, distance):
-        """Record one sampled reuse (``distance < 0`` counts as cold)."""
-        pc = int(pc)
+    def _histogram(self, pc):
         histogram = self._by_pc.get(pc)
         if histogram is None:
             histogram = self._by_pc[pc] = ReuseHistogram()
+        return histogram
+
+    def add(self, pc, distance):
+        """Record one sampled reuse (``distance < 0`` counts as cold)."""
+        histogram = self._histogram(int(pc))
         if distance < 0:
             histogram.add_cold()
             self.global_histogram.add_cold()
@@ -35,6 +42,27 @@ class PerPCReuseStats:
             histogram.add(distance)
             self.global_histogram.add(distance)
         self._models = None
+        self._r_star = {}
+
+    def add_many(self, pcs, distances):
+        """Record sample pairs in batch: the same state as :meth:`add`
+        per pair, grouped per PC through
+        :meth:`ReuseHistogram.add_many` (unit weights keep every count
+        an exact integer, so grouping does not change a bit)."""
+        pcs = np.asarray(pcs, dtype=np.int64)
+        distances = np.asarray(distances, dtype=np.int64)
+        if pcs.shape[0] == 0:
+            return
+        order = np.argsort(pcs, kind="stable")
+        sorted_pcs = pcs[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_pcs[1:] != sorted_pcs[:-1])))
+        for pc, group in zip(sorted_pcs[starts].tolist(),
+                             np.split(distances[order], starts[1:])):
+            self._histogram(pc).add_many(group)
+        self.global_histogram.add_many(distances)
+        self._models = None
+        self._r_star = {}
 
     @property
     def n_samples(self):
@@ -71,7 +99,11 @@ class PerPCReuseStats:
         reuse distance whose expected stack distance reaches the cache
         size under the global conversion model.
         """
-        r_star = self._conversion_model().reuse_for_stack(cache_lines)
+        if cache_lines in self._r_star:
+            r_star = self._r_star[cache_lines]
+        else:
+            r_star = self._r_star[cache_lines] = (
+                self._conversion_model().reuse_for_stack(cache_lines))
         histogram = self._by_pc.get(int(pc))
         if histogram is None or histogram.total < self.min_samples:
             histogram = self.global_histogram

@@ -15,6 +15,7 @@ from repro.core.vicinity import VicinitySampler
 from repro.core.warming import COLD_DISTANCE, DirectedCapacityPredictor
 from repro.sampling.smarts import Smarts
 from repro.statmodel.histogram import ReuseHistogram
+from repro.statmodel.statstack import StatStack
 from repro.vff.costmodel import CostMeter
 from repro.vff.machine import VirtualMachine
 
@@ -162,6 +163,36 @@ def test_directed_predictor_stack_distance():
     predictor = DirectedCapacityPredictor({7: 100}, vicinity)
     assert predictor.predicted_stack_distance(7) < 100
     assert predictor.predicted_stack_distance(8) == float("inf")
+
+
+def test_directed_predictor_matches_per_call_statstack():
+    # The precomputed stack distances give the decisions, counters and
+    # predictions of one StatStack query per call.
+    rng = np.random.default_rng(5)
+    vicinity = ReuseHistogram()
+    vicinity.add_many(rng.integers(0, 400, 300))
+    vicinity.add_many([-1] * 20)
+    distances = {int(line): int(distance) for line, distance in zip(
+        rng.integers(0, 1 << 20, 200),
+        rng.choice([COLD_DISTANCE, 0, 3, 50, 399, 400, 5000], 200))}
+    predictor = DirectedCapacityPredictor(distances, vicinity)
+    statstack = StatStack(vicinity)
+    queried = list(distances) + [-7, 1 << 21]          # two unknown lines
+    for line in queried:
+        expected_sd = (float("inf") if distances.get(line, COLD_DISTANCE)
+                       == COLD_DISTANCE
+                       else float(statstack.stack_distance(distances[line])))
+        assert predictor.predicted_stack_distance(line) == expected_sd
+        for capacity in (1, 40, 256, 10_000):
+            if line not in distances or distances[line] == COLD_DISTANCE:
+                expected = MISS_COLD
+            elif expected_sd >= capacity:
+                expected = MISS_CAPACITY
+            else:
+                expected = HIT_WARMING
+            assert predictor(0, np.int64(line), capacity) == expected
+    assert predictor.lookups == 4 * len(queried)
+    assert predictor.unknown_lines == 8
 
 
 # -- pipeline ---------------------------------------------------------------------

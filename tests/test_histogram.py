@@ -96,3 +96,17 @@ def test_ccdf_monotone_nonincreasing(distances, n_cold):
     ks = np.arange(0, 60)
     values = h.ccdf(ks)
     assert np.all(np.diff(values) <= 1e-12)
+
+
+def test_cached_queries_follow_updates():
+    # total/n_finite/ccdf read values cached at materialization; every
+    # update must invalidate them.
+    h = ReuseHistogram()
+    h.add_many([1, 5, 5])
+    assert h.total == 3.0 and h.ccdf(2) == pytest.approx(2 / 3)
+    h.add(9)
+    assert h.n_finite == 4.0 and h.ccdf(5) == pytest.approx(1 / 4)
+    h.add_cold()
+    assert h.total == 5.0 and h.ccdf(9) == pytest.approx(1 / 5)
+    h.merge(ReuseHistogram.from_state([0], [5.0], 0.0))
+    assert h.total == 10.0 and h.ccdf(0) == pytest.approx(5 / 10)

@@ -235,11 +235,11 @@ def bernoulli_predictor(seed):
 
 
 def classify_once(lines, pcs, instr, hierarchy_config, mshrs=4,
-                  mshr_window=24, seed=0):
+                  mshr_window=24, seed=0, with_detector=True):
     classifier = WarmingClassifier(
         hierarchy_config,
         capacity_predictor=bernoulli_predictor(seed + 1),
-        stride_detector=StrideDetector(),
+        stride_detector=StrideDetector() if with_detector else None,
         mshrs=mshrs, mshr_window=mshr_window, seed=seed)
     classifier.warm_detailed(lines[:400], lines[250:400])
     region = classifier.classify_region(lines[400:], pcs[400:], instr[400:])
@@ -254,21 +254,29 @@ class TestClassifyKernel:
     )
 
     def test_bit_identical_across_engines(self):
+        self._assert_bit_identical(with_detector=True)
+
+    def test_bit_identical_without_stride_detector(self):
+        self._assert_bit_identical(with_detector=False)
+
+    def _assert_bit_identical(self, with_detector):
         for name, lines, pcs in engine_traces(seed=47, n=2400):
             instr = np.arange(lines.shape[0], dtype=np.int64) * 3
             outputs = {}
             for backend in kernels.BACKENDS:
                 with kernels.use_backend(backend):
                     classifier, region = classify_once(
-                        lines, pcs, instr, self.HIERARCHY, seed=13)
+                        lines, pcs, instr, self.HIERARCHY, seed=13,
+                        with_detector=with_detector)
+                    detector = classifier.stride_detector
                     outputs[backend] = (
                         region.stats.counts, region.outcomes,
                         region.outcome_instr, region.llc_hit_instr,
                         classifier.lukewarm.llc._sets,
                         classifier.lukewarm.l1d._sets,
                         classifier.mshr._outstanding,
-                        classifier.stride_detector._deltas,
-                        classifier.stride_detector._last_line,
+                        detector and (detector._deltas,
+                                      detector._last_line),
                     )
             for backend in kernels.BACKENDS:
                 assert outputs[backend] == outputs["scalar"], (name, backend)
@@ -521,6 +529,87 @@ class TestGapProfileKernel:
                     [(r.stats.counts, r.timing.total_cycles)
                      for r in result.regions],
                 )
+        for backend in kernels.BACKENDS:
+            assert outputs[backend] == outputs["scalar"], backend
+
+
+def _histogram_state(histogram):
+    distances, weights, cold = histogram.state()
+    return distances.tolist(), weights.tolist(), cold
+
+
+class TestGapBookkeepingBatch:
+    """Batched gap bookkeeping (model updates, stride observations and
+    the projected-stop sum) vs the per-sample scalar loops."""
+
+    def test_coolsim_profile_gap_identical(self):
+        from repro.statmodel.perpc import PerPCReuseStats
+        from repro.vff.costmodel import CostMeter
+        from repro.vff.machine import VirtualMachine
+
+        workload = make_small_workload(seed=5, n_instructions=120_000)
+        plan = SamplingPlan(n_instructions=120_000, n_regions=3)
+        index = TraceIndex(workload.trace)
+        outputs = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                strategy = CoolSim(density_boost=2000.0,
+                                   max_stops_per_watchpoint=40)
+                meter = CostMeter(scale=plan.scale)
+                machine = VirtualMachine(workload.trace, meter=meter,
+                                         index=index)
+                stats = PerPCReuseStats()
+                detector = StrideDetector(max_history=16)
+                rng = np.random.default_rng(9)
+                # Every gap in turn: stats and strides carry over.
+                # A footprint scale with no exact binary form makes the
+                # projected-stop sum depend on its summation order.
+                collected = [strategy._profile_gap(
+                    machine, spec, stats, detector, rng, 0.0013)
+                    for spec in plan.regions()]
+                outputs[backend] = (
+                    collected, meter.ledger.as_dict(),
+                    {pc: _histogram_state(h)
+                     for pc, h in stats._by_pc.items()},
+                    _histogram_state(stats.global_histogram),
+                    detector._deltas, detector._last_line,
+                )
+        assert outputs["scalar"][1]["watchpoint_stop"] > 0
+        for backend in kernels.BACKENDS:
+            assert outputs[backend] == outputs["scalar"], backend
+
+    def test_vicinity_windows_identical(self):
+        from repro.core.vicinity import VicinitySampler
+        from repro.statmodel.histogram import ReuseHistogram
+        from repro.vff.costmodel import CostMeter
+        from repro.vff.machine import VirtualMachine
+
+        workload = make_small_workload(seed=31, n_instructions=60_000)
+        index = TraceIndex(workload.trace)
+        n = workload.trace.n_accesses
+        windows = [(0, n // 4, n // 3), (n // 5, n // 2, (3 * n) // 4),
+                   (n // 2, (7 * n) // 8, n)]
+        outputs = {}
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                machine = VirtualMachine(
+                    workload.trace, meter=CostMeter(scale=3.7), index=index)
+                sampler = VicinitySampler(
+                    machine, density=2e-3, density_boost=50.0,
+                    rng=np.random.default_rng(3), footprint_scale=0.1,
+                    max_stops_per_watchpoint=40)
+                # A carried-in histogram, as across Explorer windows.
+                histogram = ReuseHistogram.from_state([2, 40], [3.0, 1.0],
+                                                      2.0)
+                taken = [sampler.sample_window(
+                    histogram, lo, hi, limit,
+                    paper_window_instructions=5e6,
+                    model_window_instructions=30_000)
+                    for lo, hi, limit in windows]
+                outputs[backend] = (
+                    taken, _histogram_state(histogram),
+                    machine.meter.ledger.as_dict())
+        assert outputs["scalar"][2]["watchpoint_stop"] > 0
         for backend in kernels.BACKENDS:
             assert outputs[backend] == outputs["scalar"], backend
 

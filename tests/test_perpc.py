@@ -1,6 +1,8 @@
 """Tests for per-PC reuse statistics (the CoolSim substrate)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.statmodel.perpc import PerPCReuseStats
 
@@ -71,3 +73,54 @@ def test_cold_only_pc():
 def test_empty_stats():
     stats = PerPCReuseStats()
     assert stats.miss_probability(1, cache_lines=10) == 0.0
+
+
+def _assert_same_stats(a, b, sizes):
+    assert a._by_pc.keys() == b._by_pc.keys()
+    for pc in a._by_pc:
+        sa, sb = a._by_pc[pc].state(), b._by_pc[pc].state()
+        assert sa[0].tolist() == sb[0].tolist()
+        assert sa[1].tolist() == sb[1].tolist()
+        assert sa[2] == sb[2]
+    ga, gb = a.global_histogram.state(), b.global_histogram.state()
+    assert ga[0].tolist() == gb[0].tolist()
+    assert ga[1].tolist() == gb[1].tolist() and ga[2] == gb[2]
+    for pc in list(a._by_pc) + [999]:
+        for size in sizes:
+            assert a.miss_probability(pc, size) == \
+                b.miss_probability(pc, size)
+
+
+# Batches of (pc, distance) samples; -1 is a cold sample.
+_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 6),
+                       st.one_of(st.just(-1), st.integers(0, 5000))),
+             max_size=60),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=_batches, min_samples=st.sampled_from([1, 4, 8]))
+def test_add_many_matches_sequential_add(batches, min_samples):
+    one = PerPCReuseStats(min_samples=min_samples)
+    many = PerPCReuseStats(min_samples=min_samples)
+    sizes = (1, 16, 100, 2048)
+    for batch in batches:
+        for pc, distance in batch:
+            one.add(pc, distance)
+        many.add_many(np.array([pc for pc, _ in batch], dtype=np.int64),
+                      np.array([d for _, d in batch], dtype=np.int64))
+        # Querying between batches exercises the memoized rd* reset.
+        _assert_same_stats(one, many, sizes)
+    assert one.n_samples == many.n_samples
+    assert one.n_pcs == many.n_pcs
+
+
+def test_miss_probability_follows_new_samples():
+    stats = PerPCReuseStats(min_samples=1)
+    for _ in range(50):
+        stats.add(1, 4)
+    assert stats.miss_probability(1, cache_lines=50) == 0.0
+    stats.add_many([2] * 50, [5000] * 50)
+    assert stats.miss_probability(1, cache_lines=50) == 0.0
+    assert stats.miss_probability(2, cache_lines=50) > 0.9
