@@ -2,10 +2,10 @@
 
 Times each kernel on fixed 1M-access traces across every available
 backend — ``scalar`` (per-access Python reference), ``vector`` (numpy
-batch kernels) and ``native`` (compiled C extension, measured only when
-built) — and writes ``BENCH_kernels.json`` at the repo root with
-seconds / accesses-per-second per kernel *and* backend.  Entries that
-gate the perf trajectory (full profile):
+batch kernels) and ``native`` (compiled C extension, measured only
+when this host can build it) — and writes ``BENCH_kernels.json`` at the
+repo root with seconds / accesses-per-second per kernel *and* backend.
+Entries that gate the perf trajectory (full profile):
 
 * ``bulk_warm`` — the batch LRU warm kernel on a steady-state warm LLC,
   the functional-warming common case; vector must be >= 5x, native too.

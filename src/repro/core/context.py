@@ -205,8 +205,10 @@ class ExecutionContext:
                 "trace_fingerprint": fingerprint}
 
     def machine(self, meter=None):
-        """A :class:`VirtualMachine` over this context's trace + index."""
-        return VirtualMachine(self.trace, meter=meter, index=self.index)
+        """A :class:`VirtualMachine` over this context's trace + index
+        (the index is built when the machine first queries it)."""
+        return VirtualMachine(self.trace, meter=meter,
+                              index=lambda: self.index)
 
     def rng(self, label):
         """The deterministic RNG stream for one named consumer."""

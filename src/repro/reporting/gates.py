@@ -8,6 +8,8 @@ report's drift flags and ``python -m repro report gate`` agree:
   retry/requeue counts and fault firings are *lower is better*; store
   hit rates (``store.hit_rate`` and ``store.hit_rate.<label>``) are
   *higher is better*.  Direction is derived from the metric name.
+* **Presence.**  A baseline metric missing from the run fails the
+  gate; a new metric is only a note until the baseline records it.
 * **Floors.**  A change only counts when it clears both a relative
   ratio (15%) and an absolute floor sized to the metric's unit —
   0.25 s wall, 8 MB RSS, 0.02 for rates (which live in [0, 1]) and
@@ -58,8 +60,9 @@ def check_gate(suite, gate, base):
     """Compare one suite's flat gate dict against its baseline slot.
 
     Returns ``(regressions, notes)`` — regressions are formatted gate
-    failures, notes are informational (new/removed metrics and
-    improvements worth folding into the baseline).
+    failures, notes are informational (new metrics and improvements
+    worth folding into the baseline).  A baseline metric the run did
+    not measure is a regression: a gate must not vanish silently.
     """
     regressions, notes = [], []
     for name, current in sorted(gate.items()):
@@ -85,7 +88,8 @@ def check_gate(suite, gate, base):
             notes.append(f"{suite}.{name}: improved {reference:g} "
                          f"-> {current:g}")
     for name in sorted(set(base) - set(gate)):
-        notes.append(f"{suite}.{name}: in baseline but not measured")
+        regressions.append(f"{suite}.{name}: in baseline but not "
+                           f"measured")
     return regressions, notes
 
 

@@ -108,7 +108,7 @@ def _active_backend():
         from repro import kernels
         return kernels.get_backend()
     except Exception:
-        return os.environ.get("REPRO_KERNEL_BACKEND", "vector")
+        return os.environ.get("REPRO_KERNEL_BACKEND", "native")
 
 
 class TelemetrySession:

@@ -20,9 +20,21 @@ fault firings) that ``benchmarks/bench.py`` gates alongside wall/RSS.
 import io
 import json
 import os
+import re
 
 MERGED_NAME = "merged.jsonl"
 MATRIX_NAME = "matrix-reports.jsonl"
+
+#: A live watermark's store label (``live:index:25aee8dd13d6#3``).
+_LIVE_LABEL = re.compile(r"^live:(?P<kind>[a-z]+):[0-9a-f]+#\d+$")
+
+
+def gate_label(label):
+    """A store label as a gate metric names it: live watermark labels
+    lose the feed's content hash and the watermark (``live-index``), so
+    a gate key survives a change of feed content."""
+    match = _LIVE_LABEL.match(label)
+    return f"live-{match.group('kind')}" if match else label
 
 
 def list_runs(directory):
@@ -185,15 +197,14 @@ class RunReport:
         totals = self.store_totals()
         if totals["hit_rate"] is not None:
             metrics["store.hit_rate"] = round(totals["hit_rate"], 4)
-        labels = set()
-        for kind in ("hit", "miss"):
-            for name in totals["by_kind"][kind]:
+        lookups = {}                         # gate label -> [hits, misses]
+        for slot, kind in enumerate(("hit", "miss")):
+            for name, count in totals["by_kind"][kind].items():
                 label = name.split(".", 2)[2]
                 if label != "memory":        # tier marker, not a label
-                    labels.add(label)
-        for label in sorted(labels):
-            hits = self.counter(f"store.hit.{label}")
-            misses = self.counter(f"store.miss.{label}")
+                    lookups.setdefault(gate_label(label), [0, 0])[slot] += \
+                        count
+        for label, (hits, misses) in sorted(lookups.items()):
             if hits + misses:
                 metrics[f"store.hit_rate.{label}"] = \
                     round(hits / (hits + misses), 4)

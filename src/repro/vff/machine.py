@@ -29,10 +29,28 @@ class VirtualMachine:
     """One simulated gem5+KVM process executing a fixed trace."""
 
     def __init__(self, trace, meter=None, index=None):
+        """``index`` is a :class:`TraceIndex`, a zero-argument callable
+        returning one, or None to build one from ``trace``.  Either way
+        it is resolved on first use, so a pass that never queries it
+        (SMARTS) builds none."""
         self.trace = trace
         self.meter = meter if meter is not None else CostMeter()
-        self.index = index if index is not None else TraceIndex(trace)
-        self.watchpoints = WatchpointEngine(self.index)
+        self._index = index
+        self._watchpoints = None
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = TraceIndex(self.trace)
+        elif callable(self._index):
+            self._index = self._index()
+        return self._index
+
+    @property
+    def watchpoints(self):
+        if self._watchpoints is None:
+            self._watchpoints = WatchpointEngine(self.index)
+        return self._watchpoints
 
     def access_window(self, instr_lo, instr_hi):
         """The :class:`~repro.core.context.AccessWindow` of an

@@ -29,7 +29,7 @@ def pytest_addoption(parser):
         "--backend", choices=kernels.BACKENDS, default=None,
         help="Kernel backend for the whole session "
              "(scalar|vector|native); defaults to REPRO_KERNEL_BACKEND "
-             "or 'vector'.  The kernel-equivalence tests exercise every "
+             "or 'native'.  The kernel-equivalence tests exercise every "
              "backend regardless.")
 
 
@@ -40,11 +40,11 @@ def _session_kernel_backend(request):
         yield
         return
     if choice == "native" and not kernels.native_available():
-        # A requested-but-unbuilt extension must skip loudly, not let
+        # An extension this host cannot build must skip loudly, not let
         # the silent vector fallback masquerade as native coverage.
+        from repro.kernels import native
         pytest.skip("compiled kernel extension (repro.kernels._native) "
-                    "is not built; run 'python setup.py build_ext "
-                    "--inplace'")
+                    f"cannot be built on this host: {native.load_error}")
     with kernels.use_backend(choice):
         yield
 

@@ -123,3 +123,37 @@ def test_ascii_chart_log_scale():
 
 def test_ascii_chart_empty():
     assert ascii_chart([1], {"a": [float("nan")]}) == "(no data)"
+
+
+def test_smarts_builds_no_index(monkeypatch):
+    """SMARTS never queries the trace index, so a SMARTS-only run builds
+    none; the first strategy that needs it builds it once."""
+    from repro.store import disabled_store
+    from repro.vff import index as index_module
+
+    builds = []
+    real_build = index_module.build_index_tables
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return real_build(*args, **kwargs)
+
+    def fingerprint(result):
+        return (result.cpi, result.mpki, result.total_seconds,
+                [region.stats.counts for region in result.regions])
+
+    monkeypatch.setattr(index_module, "build_index_tables", counting_build)
+    lazy = SuiteRunner(TINY, store=disabled_store())
+    smarts = lazy.run("mcf", "SMARTS")
+    assert len(builds) == 0
+    delorean = lazy.run("mcf", "DeLorean")
+    assert len(builds) == 1
+    lazy.release()
+
+    # The same runs with the index built before SMARTS starts.
+    eager = SuiteRunner(TINY, store=disabled_store())
+    eager._context("mcf").index
+    assert fingerprint(eager.run("mcf", "SMARTS")) == fingerprint(smarts)
+    assert fingerprint(eager.run("mcf", "DeLorean")) == \
+        fingerprint(delorean)
+    eager.release()

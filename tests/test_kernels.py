@@ -796,7 +796,7 @@ class TestScoutVicinityBatch:
 
 
 @pytest.mark.skipif(not kernels.native_available(),
-                    reason="compiled kernel extension not built")
+                    reason="this host cannot build the native extension")
 class TestNativeBackend:
     """The compiled backend: direct kernels, dispatch, no bailout."""
 

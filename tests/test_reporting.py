@@ -131,10 +131,22 @@ def test_check_gate_formats_and_flat_wall_behavioral_trip():
             "wall_seconds": 10.0,
             "gone_metric": 1.0}
     regressions, notes = gates.check_gate("behavior", gate, base)
-    assert len(regressions) == 2          # wall flat, behavior trips
+    assert len(regressions) == 3          # wall flat, behavior trips
     assert any("bailout_rate" in r for r in regressions)
     assert any("hit_rate" in r and "-51%" in r for r in regressions)
-    assert any("in baseline but not measured" in n for n in notes)
+    assert "behavior.gone_metric: in baseline but not measured" in \
+        regressions
+
+
+def test_check_gate_vanished_metric_fails_new_metric_notes():
+    base = {"wall_seconds": 10.0, "store.hit_rate.warmup": 0.5}
+    regressions, notes = gates.check_gate(
+        "store", {"wall_seconds": 10.0, "extra_seconds": 1.0}, base)
+    assert regressions == [
+        "store.store.hit_rate.warmup: in baseline but not measured"]
+    assert notes == ["store.extra_seconds: new metric (1), not in "
+                     "baseline"]
+    assert gates.check_gate("store", dict(base), base) == ([], [])
 
 
 def test_monotonic_drift():
@@ -229,6 +241,25 @@ def test_run_report_gate_metrics(tmp_path):
     assert metrics["pool.task.resubmitted"] == 3
     assert metrics["pool.task.failures"] == 2
     assert metrics["fault.fired"] == 2
+
+
+def test_run_report_gate_metrics_drop_live_label_hashes(tmp_path):
+    run = _run_dir(tmp_path, {
+        "store.hit": 5, "store.miss": 3,
+        "store.hit.live:index:25aee8dd13d6#1": 1,
+        "store.miss.live:index:25aee8dd13d6#2": 1,
+        "store.hit.live:index:0123456789ab#1": 2,
+        "store.miss.live:result:25aee8dd13d6#1": 2,
+        "store.hit.warmup": 2,
+    })
+    metrics = RunReport.from_dir(run, write_merged=False).gate_metrics()
+    hit_rates = {name: value for name, value in metrics.items()
+                 if name.startswith("store.hit_rate.")}
+    # Summed over every feed and watermark of one kind.
+    assert hit_rates == {"store.hit_rate.live-index": 0.75,
+                         "store.hit_rate.live-result": 0.0,
+                         "store.hit_rate.warmup": 1.0}
+    assert not any("#" in name or ":" in name for name in metrics)
 
 
 def test_run_report_html_escaped_and_empty_tolerant(tmp_path):
